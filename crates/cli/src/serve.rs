@@ -196,7 +196,7 @@ fn process_line(membership: &mut Membership, opts: &Options, line: &str) -> Stri
              \"free_leaves\":{},\"violations\":{}}}",
             membership.present_count(),
             membership.admitted().len(),
-            membership.allocation().free_leaves().len(),
+            membership.free_leaf_count(),
             membership.safety_violations()
         )),
         other => Err(format!("unknown op \"{other}\"")),
@@ -352,6 +352,24 @@ not json at all\n\
             assert!(bad.contains("\"ok\":false"), "{bad}");
         }
         assert!(lines[5].contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn overflowing_flow_gets_an_error_reply_not_an_admission() {
+        // Regression: ⌈d/w⌉·a wrapped to zero in the B_DDCR terms, and this
+        // flow was admitted with a bound of 5632 ticks.
+        let script = "\
+{\"op\":\"join\",\"station\":0}\n\
+{\"op\":\"flow\",\"station\":0,\"name\":\"wrap\",\"bits\":8000,\"deadline\":4000000,\"arrivals\":4611686018427387904,\"window\":1000000}\n\
+{\"op\":\"force-flow\",\"station\":0,\"name\":\"wrap\",\"bits\":8000,\"deadline\":4000000,\"arrivals\":4611686018427387904,\"window\":1000000}\n";
+        let (out, safe) = run(script, &opts());
+        assert!(safe, "{out}");
+        let lines: Vec<&str> = out.lines().collect();
+        for reply in &lines[1..3] {
+            assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+            assert!(reply.contains("class 0 overflow"), "{reply}");
+        }
+        assert!(lines[3].contains("\"flows\":0"), "{out}");
     }
 
     #[test]

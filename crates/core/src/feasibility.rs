@@ -128,24 +128,184 @@ impl FeasibilityReport {
     }
 }
 
+/// Why a pair term could not be formed. Kept to one byte so the per-pair
+/// loop stays tight; turned into a [`DdcrError`] only on the way out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TermError {
+    /// A class with a zero density window.
+    ZeroWindow,
+    /// A term or sum past `u64`.
+    Overflow,
+}
+
+impl TermError {
+    #[cold]
+    fn naming(self, target: &MessageClass) -> DdcrError {
+        DdcrError::InvalidConfig(match self {
+            TermError::ZeroWindow => "class density window w must be positive".into(),
+            TermError::Overflow => format!(
+                "B_DDCR terms of class {} overflow 64-bit integers \
+                 (arrivals, window or message size out of range)",
+                target.id.0
+            ),
+        })
+    }
+}
+
 /// Exact `⌈num/den⌉` for possibly-negative numerators, clamped at zero
 /// (a non-positive window contributes no arrivals).
 ///
 /// # Errors
 ///
-/// Returns [`DdcrError::InvalidConfig`] for a zero divisor (a degenerate
-/// density window) rather than aborting on the integer division.
-fn ceil_div_clamped(num: i128, den: u64) -> Result<u64, DdcrError> {
+/// [`TermError::ZeroWindow`] for a zero divisor (a degenerate density
+/// window) rather than aborting on the integer division, and
+/// [`TermError::Overflow`] for a quotient past `u64`.
+#[inline(always)]
+fn ceil_div_clamped(num: i128, den: u64) -> Result<u64, TermError> {
     if den == 0 {
-        return Err(DdcrError::InvalidConfig(
-            "class density window w must be positive".into(),
-        ));
-    }
-    if num <= 0 {
+        Err(TermError::ZeroWindow)
+    } else if num <= 0 {
         Ok(0)
+    } else if let Ok(num) = u64::try_from(num) {
+        Ok(num.div_ceil(den))
     } else {
         let den = den as i128;
-        Ok(((num + den - 1) / den) as u64)
+        u64::try_from((num + den - 1) / den).map_err(|_| TermError::Overflow)
+    }
+}
+
+/// `⌈window/w(m)⌉·a(m)`: the arrivals of `m` a window of `window` ticks
+/// can hold at peak load.
+#[inline(always)]
+fn arrivals(window: i128, m: &MessageClass) -> Result<u64, TermError> {
+    ceil_div_clamped(window, m.density.w.as_u64())?
+        .checked_mul(m.density.a)
+        .ok_or(TermError::Overflow)
+}
+
+/// The three integer sums behind one class's bound, each a sum of one
+/// term per class of `MSG`. Sums of non-negative terms do not depend on
+/// the order they are taken in, so they can be kept per class and moved
+/// one pair at a time as classes come and go.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassSums {
+    /// `Σ_{m ∈ MSG_i} ⌈d(M)/w(m)⌉·a(m)`, that is `r(M) + 1`.
+    pub rank: u64,
+    /// `u(M) = Σ_{m ∈ MSG} ⌈(d(M)+d(m)−l'(M)/ψ)/w(m)⌉·a(m)`.
+    pub interference: u64,
+    /// `Σ_{m ∈ MSG} ⌈…⌉·a(m)·l'(m)/ψ`: transmission time of the `u(M)`
+    /// interfering messages, ticks.
+    pub transmission_ticks: u64,
+}
+
+/// `l'(c)/ψ` at `ψ = 1`: the class's Ph-PDU length in ticks.
+#[inline(always)]
+fn wire(c: &MessageClass, medium: &MediumConfig) -> Result<u64, TermError> {
+    medium.checked_wire_bits(c.bits).ok_or(TermError::Overflow)
+}
+
+impl ClassSums {
+    /// The terms class `m` adds to the sums of `target` (at `ψ = 1`), with
+    /// `target_wire = l'(M)`: the rank term `⌈d(M)/w(m)⌉·a(m)` if `m`
+    /// shares the target's source (zero otherwise), the interference count
+    /// `⌈(d(M)+d(m)−l'(M))/w(m)⌉·a(m)` and that count times `l'(m)`.
+    #[inline(always)]
+    fn try_pair(
+        target: &MessageClass,
+        target_wire: u64,
+        m: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, TermError> {
+        let d_target = target.deadline.as_u64() as i128;
+        let rank = if m.source == target.source {
+            arrivals(d_target, m)?
+        } else {
+            0
+        };
+        let window = d_target + m.deadline.as_u64() as i128 - target_wire as i128;
+        let interference = arrivals(window, m)?;
+        let transmission_ticks = interference
+            .checked_mul(wire(m, medium)?)
+            .ok_or(TermError::Overflow)?;
+        Ok(ClassSums {
+            rank,
+            interference,
+            transmission_ticks,
+        })
+    }
+
+    /// Applies a checked `op` field by field.
+    #[inline(always)]
+    fn combine(
+        self,
+        terms: ClassSums,
+        op: fn(u64, u64) -> Option<u64>,
+    ) -> Result<ClassSums, TermError> {
+        let apply = |a, b| op(a, b).ok_or(TermError::Overflow);
+        Ok(ClassSums {
+            rank: apply(self.rank, terms.rank)?,
+            interference: apply(self.interference, terms.interference)?,
+            transmission_ticks: apply(self.transmission_ticks, terms.transmission_ticks)?,
+        })
+    }
+
+    /// The sums of `target` with the pair terms of `m` added.
+    ///
+    /// # Errors
+    ///
+    /// [`DdcrError::InvalidConfig`] for a zero window or a term or sum
+    /// past `u64`.
+    pub(crate) fn with(
+        self,
+        target: &MessageClass,
+        m: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        wire(target, medium)
+            .and_then(|target_wire| Self::try_pair(target, target_wire, m, medium))
+            .and_then(|terms| self.combine(terms, u64::checked_add))
+            .map_err(|e| e.naming(target))
+    }
+
+    /// The sums of `target` with the pair terms of `m` taken out again.
+    ///
+    /// # Errors
+    ///
+    /// [`DdcrError::InvalidConfig`] if `m`'s terms were never added.
+    pub(crate) fn without(
+        self,
+        target: &MessageClass,
+        m: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        wire(target, medium)
+            .and_then(|target_wire| Self::try_pair(target, target_wire, m, medium))
+            .and_then(|terms| self.combine(terms, u64::checked_sub))
+            .map_err(|e| e.naming(target))
+    }
+
+    /// The sums of `target` over `classes`, one pair term per class.
+    ///
+    /// # Errors
+    ///
+    /// [`DdcrError::InvalidConfig`] for a zero window or a term or sum
+    /// past `u64`.
+    pub(crate) fn over<'a>(
+        target: &MessageClass,
+        classes: impl IntoIterator<Item = &'a MessageClass>,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        let sum = |target_wire| {
+            classes
+                .into_iter()
+                .try_fold(ClassSums::default(), |sums, m| {
+                    Self::try_pair(target, target_wire, m, medium)
+                        .and_then(|terms| sums.combine(terms, u64::checked_add))
+                })
+        };
+        wire(target, medium)
+            .and_then(sum)
+            .map_err(|e| e.naming(target))
     }
 }
 
@@ -154,8 +314,9 @@ fn ceil_div_clamped(num: i128, den: u64) -> Result<u64, DdcrError> {
 /// # Errors
 ///
 /// Returns [`DdcrError::InvalidConfig`] on configuration/allocation
-/// mismatch (e.g. fewer static leaves than sources) and
-/// [`DdcrError::Infeasible`] when a bound cannot be evaluated.
+/// mismatch (e.g. fewer static leaves than sources) or a bound term past
+/// 64-bit range, and [`DdcrError::Infeasible`] when a bound cannot be
+/// evaluated.
 ///
 /// # Examples
 ///
@@ -190,37 +351,35 @@ pub fn evaluate(
     }
     let mut per_class = Vec::with_capacity(set.classes().len());
     for target in set.classes() {
-        per_class.push(evaluate_class(set, config, allocation, medium, target)?);
+        let sums = ClassSums::over(target, set.classes(), medium)?;
+        per_class.push(finish(target, sums, config, allocation, medium)?);
     }
     Ok(FeasibilityReport { per_class })
 }
 
-fn evaluate_class(
-    set: &MessageSet,
+/// The closed-form tail of `B_DDCR(s_i, M)` from the class's sums: `v(M)`,
+/// the `S1` and `S2` search terms, the bound and the verdict.
+///
+/// # Errors
+///
+/// Returns [`DdcrError::InvalidConfig`] when the target's source owns no
+/// static index, `v(M)` leaves 64-bit range or the bound is not finite,
+/// and [`DdcrError::Tree`] if the P2 bound cannot be formed.
+///
+/// # Panics
+///
+/// Panics if the target's source lies outside `allocation`.
+pub fn finish(
+    target: &MessageClass,
+    sums: ClassSums,
     config: &DdcrConfig,
     allocation: &StaticAllocation,
     medium: &MediumConfig,
-    target: &MessageClass,
 ) -> Result<ClassFeasibility, DdcrError> {
-    let d_m = target.deadline.as_u64() as i128;
-    let lp_m = medium.wire_bits(target.bits) as i128; // l'(M)/ψ at ψ = 1
-
     // r(M): messages of MSG_i that can be serviced before M.
-    let mut r: u64 = 0;
-    for m in set.classes_of(target.source) {
-        r += ceil_div_clamped(d_m, m.density.w.as_u64())? * m.density.a;
-    }
-    let r = r.saturating_sub(1);
-
-    // u(M) and the transmission-time term share the same per-class counts.
-    let mut u: u64 = 0;
-    let mut transmission_ticks: u64 = 0;
-    for m in set.classes() {
-        let window = d_m + m.deadline.as_u64() as i128 - lp_m;
-        let count = ceil_div_clamped(window, m.density.w.as_u64())? * m.density.a;
-        u += count;
-        transmission_ticks += count * medium.wire_bits(m.bits);
-    }
+    let r = sums.rank.saturating_sub(1);
+    let u = sums.interference;
+    let transmission_ticks = sums.transmission_ticks;
 
     let nu = allocation.nu(target.source);
     if nu == 0 {
@@ -237,8 +396,12 @@ fn evaluate_class(
     // The P2 bound needs u/v ≤ q; if the interference exceeds what v static
     // trees can carry, more searches will actually run — raising v keeps
     // the bound on the safe (conservative) side.
-    if u > q * v {
+    if u > q.saturating_mul(v) {
         v = u.div_ceil(q);
+    }
+    // The P2 composition below forms 2·v and q·v.
+    if v.checked_mul(q.max(2)).is_none() {
+        return Err(TermError::Overflow.naming(target));
     }
 
     // S1: isolating u messages over v consecutive q-leaf static trees
@@ -403,15 +566,23 @@ mod tests {
         assert_eq!(ceil_div_clamped(1, 10).unwrap(), 1);
         assert_eq!(ceil_div_clamped(10, 10).unwrap(), 1);
         assert_eq!(ceil_div_clamped(11, 10).unwrap(), 2);
+        // Past u64: i128 numerators beyond 2^64, quotients that do not fit.
+        assert_eq!(ceil_div_clamped(1 << 70, 1 << 10).unwrap(), 1 << 60);
+        assert_eq!(ceil_div_clamped(1 << 70, 2), Err(TermError::Overflow));
     }
 
     #[test]
     fn ceil_div_clamped_rejects_zero_divisor() {
         // Regression: used to abort on integer division by zero; a
         // long-running admission service must get a typed error instead.
+        assert_eq!(ceil_div_clamped(5, 0), Err(TermError::ZeroWindow));
+        let target = scenario::uniform(1, 8_000, Ticks(1_000), 0.1)
+            .unwrap()
+            .classes()[0]
+            .clone();
         assert!(matches!(
-            ceil_div_clamped(5, 0),
-            Err(DdcrError::InvalidConfig(_))
+            TermError::ZeroWindow.naming(&target),
+            DdcrError::InvalidConfig(_)
         ));
     }
 
@@ -443,6 +614,72 @@ mod tests {
             per_class: vec![degenerate, finite.clone()],
         };
         assert_eq!(report.tightest().unwrap().class, finite.class);
+    }
+
+    fn class(id: u32, source: u32, bits: u64, deadline: u64, a: u64, w: u64) -> MessageClass {
+        MessageClass {
+            id: ClassId(id),
+            name: format!("c{id}"),
+            source: SourceId(source),
+            bits,
+            deadline: Ticks(deadline),
+            density: DensityBound::new(a, Ticks(w)).unwrap(),
+        }
+    }
+
+    #[test]
+    fn term_overflow_is_a_typed_error_naming_the_class() {
+        // Regression: ⌈d/w⌉·a = 4·2^62 used to wrap to zero, so r = u = 0
+        // and the flow looked trivially feasible.
+        let set = MessageSet::new(
+            2,
+            vec![
+                class(0, 0, 8_000, 50_000_000, 1, 10_000_000),
+                class(1, 1, 8_000, 4_000_000, 1 << 62, 1_000_000),
+            ],
+        )
+        .unwrap();
+        let config = DdcrConfig::for_sources(2, Ticks(100_000)).unwrap();
+        let allocation = StaticAllocation::one_per_source(config.static_tree, 2).unwrap();
+        let err = evaluate(&set, &config, &allocation, &MediumConfig::ethernet()).unwrap_err();
+        // Class 0 is evaluated first and already sees class 1's arrivals.
+        match err {
+            DdcrError::InvalidConfig(msg) => assert!(msg.contains("class 0 overflow"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other}"),
+        }
+        // A message size past u64 once overhead is added is refused too.
+        let huge = class(0, 0, u64::MAX, 50_000_000, 1, 10_000_000);
+        assert!(matches!(
+            ClassSums::default().with(&huge, &huge, &MediumConfig::ethernet()),
+            Err(DdcrError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn pair_terms_add_and_remove_exactly() {
+        let medium = MediumConfig::ethernet();
+        let target = class(0, 0, 8_000, 5_000_000, 2, 1_000_000);
+        let same = class(1, 0, 4_000, 9_000_000, 3, 2_000_000);
+        let other = class(2, 1, 16_000, 1_000_000, 1, 500_000);
+        let start = ClassSums::default()
+            .with(&target, &target, &medium)
+            .unwrap();
+        let both = start
+            .with(&target, &same, &medium)
+            .and_then(|s| s.with(&target, &other, &medium))
+            .unwrap();
+        // ⌈5e6/1e6⌉·2 + ⌈5e6/2e6⌉·3 = 10 + 9; the other source adds no rank.
+        assert_eq!(both.rank, 19);
+        let other_terms = ClassSums::default().with(&target, &other, &medium).unwrap();
+        assert_eq!(other_terms.rank, 0);
+        let back = both
+            .without(&target, &other, &medium)
+            .and_then(|s| s.without(&target, &same, &medium))
+            .unwrap();
+        assert_eq!(back, start);
+        assert!(ClassSums::default()
+            .without(&target, &same, &medium)
+            .is_err());
     }
 
     #[test]

@@ -26,12 +26,33 @@
 //!   so surviving bounds only improve. (In the engine the reclamation lands
 //!   at the next epoch boundary; analytically the pre-reclaim bound is the
 //!   conservative one, so checking either side is sound.)
-//! * **Admission** evaluates the *candidate* message set — every admitted
-//!   flow plus the applicant — with [`feasibility::evaluate`]. The flow is
-//!   admitted iff every class of the candidate set stays feasible, so an
-//!   accepted applicant can never push an incumbent past its deadline. The
-//!   evaluation reuses the memoized P2 multi-tree bound cache, so repeated
-//!   admissions against a stable configuration stay cheap.
+//! * **Admission** decides on the *candidate* message set — every admitted
+//!   flow plus the applicant. The flow is admitted iff every class of the
+//!   candidate set stays feasible, so an accepted applicant can never push
+//!   an incumbent past its deadline.
+//!
+//! ## Cost model
+//!
+//! Each admitted class keeps the three integer sums behind its bound
+//! ([`ClassSums`]: the rank sum behind `r(M)`, `u(M)` and the
+//! transmission ticks), each a sum of one pair term per class of the set.
+//! A flow request adds the applicant's pair term to every incumbent's sums
+//! and re-runs the closed-form tail ([`feasibility::finish`]) for it, then
+//! takes the applicant's own sums in one more pass: **O(n) per decision**
+//! for n admitted flows. The new sums are committed only when the flow
+//! goes in. A leave takes each dropped flow's terms out of every survivor:
+//! **O(n·dropped)**. A join pops the lowest free leaves from a pool kept
+//! beside the partition (never-granted watermark plus a min-heap of
+//! reclaimed leaves) instead of rebuilding the free list; the grant still
+//! checks each leaf's owner, O(ν·z). The present and free counts are kept
+//! too, so a `status` reads counters.
+//!
+//! The pair terms and the tail are the very functions
+//! [`feasibility::evaluate`] is built from, so both paths give bitwise the
+//! same bounds; [`Membership::evaluate`] and
+//! [`Membership::check_invariants`] keep the full O(n²) re-evaluation as
+//! the oracle. The multichannel predicate reassigns classes over channels
+//! globally and still evaluates the whole candidate set.
 //!
 //! [`Membership::force_admit`] is the operator override that skips the
 //! predicate; it is the one door through which the invariant can break, and
@@ -41,11 +62,13 @@
 
 use crate::config::DdcrConfig;
 use crate::error::DdcrError;
-use crate::feasibility::{self, ClassFeasibility, FeasibilityReport};
+use crate::feasibility::{self, ClassFeasibility, ClassSums, FeasibilityReport};
 use crate::indices::StaticAllocation;
 use ddcr_sim::{ClassId, MediumConfig, SourceId, Ticks};
 pub use ddcr_sim::MembershipChange;
 use ddcr_traffic::{DensityBound, MessageClass, MessageSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A flow admission request: one message class a station asks to add.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +130,18 @@ pub struct Membership {
     medium: MediumConfig,
     allocation: StaticAllocation,
     present: Vec<bool>,
+    present_count: usize,
+    /// Leaves at or above this index have never been granted.
+    fresh_from: u64,
+    /// Reclaimed leaves, all below `fresh_from`, lowest first.
+    reclaimed: BinaryHeap<Reverse<u64>>,
     admitted: Vec<MessageClass>,
+    /// The `B_DDCR` sums of each admitted class over the admitted set,
+    /// aligned with `admitted`.
+    sums: Vec<ClassSums>,
+    /// Reused buffer for the incumbents' sums under a pending change; swapped
+    /// into `sums` when the change is committed.
+    staged: Vec<ClassSums>,
     /// Leaves granted to each joiner (clamped to what the free pool holds).
     join_nu: u64,
     next_class: u32,
@@ -152,7 +186,12 @@ impl Membership {
             config,
             medium,
             present: vec![false; z as usize],
+            present_count: 0,
+            fresh_from: 0,
+            reclaimed: BinaryHeap::new(),
             admitted: Vec::new(),
+            sums: Vec::new(),
+            staged: Vec::new(),
             join_nu,
             next_class: 0,
             violations: 0,
@@ -169,6 +208,14 @@ impl Membership {
         &self.admitted
     }
 
+    /// The `B_DDCR` sums of each admitted flow over the admitted set,
+    /// aligned with [`Membership::admitted`]. Passing one through
+    /// [`feasibility::finish`] reproduces that flow's entry of
+    /// [`Membership::evaluate`].
+    pub fn class_sums(&self) -> &[ClassSums] {
+        &self.sums
+    }
+
     /// Whether `station` is currently a member.
     pub fn is_present(&self, station: SourceId) -> bool {
         self.present
@@ -179,7 +226,12 @@ impl Membership {
 
     /// Number of present members.
     pub fn present_count(&self) -> usize {
-        self.present.iter().filter(|p| **p).count()
+        self.present_count
+    }
+
+    /// Number of static leaves no member owns.
+    pub fn free_leaf_count(&self) -> u64 {
+        self.reclaimed.len() as u64 + (self.allocation.leaves() - self.fresh_from)
     }
 
     /// Times [`Membership::force_admit`] actually broke the feasible-set
@@ -226,26 +278,42 @@ impl Membership {
                 station.0
             )));
         }
-        let mut free = self.allocation.free_leaves();
-        if free.is_empty() {
+        let take = self.join_nu.min(self.free_leaf_count());
+        if take == 0 {
             return Err(DdcrError::InvalidConfig(format!(
                 "no free static leaves to seat station {}",
                 station.0
             )));
         }
-        free.truncate(self.join_nu as usize);
-        self.allocation.grant(station, free.clone())?;
+        // Every reclaimed leaf lies below every fresh one, so the lowest
+        // free leaves are the reclaimed ones first, in heap order.
+        let from_heap = take.min(self.reclaimed.len() as u64);
+        let mut leaves: Vec<u64> = (0..from_heap)
+            .filter_map(|_| self.reclaimed.pop().map(|Reverse(leaf)| leaf))
+            .collect();
+        let fresh = take - from_heap;
+        leaves.extend(self.fresh_from..self.fresh_from + fresh);
+        if let Err(e) = self.allocation.grant(station, leaves.clone()) {
+            // The pool mirrors the partition, so this does not happen; put
+            // the leaves back all the same, so a failed join changes nothing.
+            self.reclaimed
+                .extend(leaves[..from_heap as usize].iter().map(|&l| Reverse(l)));
+            return Err(e);
+        }
+        self.fresh_from += fresh;
         self.present[idx] = true;
+        self.present_count += 1;
         Ok(TransitionReceipt {
             station,
-            leaves: free,
+            leaves,
             dropped_flows: Vec::new(),
         })
     }
 
     /// Removes `station` from the fabric: its leaves return to the free
     /// pool and its admitted flows are dropped (both only *improve* every
-    /// survivor's bound; see the module-level safety argument).
+    /// survivor's bound; see the module-level safety argument). Each
+    /// survivor's sums lose the dropped flows' terms: O(n·dropped).
     pub fn leave(&mut self, station: SourceId) -> Result<TransitionReceipt, DdcrError> {
         let idx = self.member_slot(station)?;
         if !self.present[idx] {
@@ -254,15 +322,31 @@ impl Membership {
                 station.0
             )));
         }
-        let leaves = self.allocation.reclaim(station)?;
-        let dropped_flows = self
+        let dropped: Vec<&MessageClass> = self
             .admitted
             .iter()
             .filter(|c| c.source == station)
-            .map(|c| c.id)
             .collect();
-        self.admitted.retain(|c| c.source != station);
+        self.staged.clear();
+        if !dropped.is_empty() {
+            for (class, sums) in self.admitted.iter().zip(&self.sums) {
+                if class.source != station {
+                    let sums = dropped
+                        .iter()
+                        .try_fold(*sums, |s, d| s.without(class, d, &self.medium))?;
+                    self.staged.push(sums);
+                }
+            }
+        }
+        let dropped_flows: Vec<ClassId> = dropped.iter().map(|c| c.id).collect();
+        let leaves = self.allocation.reclaim(station)?;
+        self.reclaimed.extend(leaves.iter().map(|&l| Reverse(l)));
+        if !dropped_flows.is_empty() {
+            self.admitted.retain(|c| c.source != station);
+            std::mem::swap(&mut self.sums, &mut self.staged);
+        }
         self.present[idx] = false;
+        self.present_count -= 1;
         Ok(TransitionReceipt {
             station,
             leaves,
@@ -302,64 +386,101 @@ impl Membership {
         })
     }
 
-    /// Evaluates the candidate set (admitted flows + applicant) without
-    /// mutating anything.
-    fn evaluate_candidate(
-        &self,
-        candidate: &MessageClass,
-    ) -> Result<FeasibilityReport, DdcrError> {
-        let mut classes = self.admitted.clone();
-        classes.push(candidate.clone());
-        let set = MessageSet::new(self.present.len() as u32, classes)
-            .map_err(|e| DdcrError::InvalidConfig(e.to_string()))?;
-        feasibility::evaluate(&set, &self.config, &self.allocation, &self.medium)
+    /// Stages every incumbent's sums with `candidate`'s pair term added
+    /// into `staged`, aligned with `admitted`, and returns the applicant's
+    /// own sums over the candidate set (admitted flows + applicant).
+    /// Nothing is committed. On a term error `staged` stops short of the
+    /// failing incumbent.
+    fn stage(&mut self, candidate: &MessageClass) -> Result<ClassSums, DdcrError> {
+        self.staged.clear();
+        for (class, sums) in self.admitted.iter().zip(&self.sums) {
+            self.staged.push(sums.with(class, candidate, &self.medium)?);
+        }
+        let candidate_set = self.admitted.iter().chain(std::iter::once(candidate));
+        ClassSums::over(candidate, candidate_set, &self.medium)
     }
 
+    /// Decides `candidate` against the candidate set in one pass over the
+    /// admitted flows, from the sums [`Membership::stage`] leaves. Returns
+    /// the decision and the applicant's own sums; nothing is committed.
+    ///
+    /// Classes are visited in candidate-set order (admitted flows, then the
+    /// applicant), so the first error, the verdict and the binding class
+    /// (first of equal slacks) are those of [`feasibility::evaluate`] over
+    /// the candidate set, followed by [`FeasibilityReport::tightest`].
     fn decide(
+        &mut self,
         candidate: &MessageClass,
-        report: &FeasibilityReport,
-    ) -> AdmissionDecision {
-        // An infeasible report is never empty (the candidate itself is in
-        // the set), so the binding class always exists on this branch.
-        if !report.feasible() {
-            if let Some(binding) = report.tightest() {
-                return AdmissionDecision::Rejected {
-                    binding: binding.clone(),
-                };
+    ) -> Result<(AdmissionDecision, ClassSums), DdcrError> {
+        self.config.validate(self.present.len() as u32)?;
+        // A term error is raised only after the classes staged before it
+        // are finished, so an earlier class's error still comes first.
+        let own_sums = self.stage(candidate);
+        let mut tightest: Option<ClassFeasibility> = None;
+        let mut feasible = true;
+        let mut note = |c: ClassFeasibility| {
+            feasible &= c.feasible;
+            if tightest
+                .as_ref()
+                .is_none_or(|t| c.slack().total_cmp(&t.slack()).is_lt())
+            {
+                tightest = Some(c);
             }
+        };
+        for (class, &sums) in self.admitted.iter().zip(&self.staged) {
+            note(feasibility::finish(
+                class,
+                sums,
+                &self.config,
+                &self.allocation,
+                &self.medium,
+            )?);
         }
-        let own = report
-            .per_class
-            .iter()
-            .find(|c| c.class == candidate.id)
-            .map(|c| c.bound)
-            .unwrap_or(0.0);
-        let slack = report
-            .tightest()
-            .map(ClassFeasibility::slack)
-            .unwrap_or(0.0);
-        AdmissionDecision::Admitted {
-            class: candidate.id,
-            bound: own,
-            slack,
-        }
+        let own_sums = own_sums?;
+        let own = feasibility::finish(
+            candidate,
+            own_sums,
+            &self.config,
+            &self.allocation,
+            &self.medium,
+        )?;
+        let bound = own.bound;
+        note(own);
+        let decision = match tightest {
+            Some(binding) if !feasible => AdmissionDecision::Rejected { binding },
+            tightest => AdmissionDecision::Admitted {
+                class: candidate.id,
+                bound,
+                slack: tightest.map_or(0.0, |t| t.slack()),
+            },
+        };
+        Ok((decision, own_sums))
+    }
+
+    /// Commits `candidate` with the incumbents' sums staged by
+    /// [`Membership::stage`] and its own sums.
+    fn commit(&mut self, candidate: MessageClass, own_sums: ClassSums) {
+        std::mem::swap(&mut self.sums, &mut self.staged);
+        self.sums.push(own_sums);
+        self.admitted.push(candidate);
+        self.next_class += 1;
     }
 
     /// Evaluates a flow request against the live `B_DDCR` predicate and
     /// admits it iff every class of the candidate set stays feasible.
+    /// Costs one pass over the admitted flows.
     ///
     /// # Errors
     ///
     /// Returns [`DdcrError::InvalidConfig`] for malformed requests (absent
-    /// station, zero-bit flow, degenerate density) — a *rejection* is not
-    /// an error but an [`AdmissionDecision::Rejected`].
+    /// station, zero-bit flow, degenerate density, a bound term past
+    /// 64-bit range) — a *rejection* is not an error but an
+    /// [`AdmissionDecision::Rejected`].
     pub fn admit(&mut self, flow: &FlowRequest) -> Result<AdmissionDecision, DdcrError> {
         let candidate = self.build_class(flow)?;
-        let report = self.evaluate_candidate(&candidate)?;
-        let decision = Self::decide(&candidate, &report);
+        let (decision, own_sums) = self.decide(&candidate)?;
         if matches!(decision, AdmissionDecision::Admitted { .. }) {
-            self.admitted.push(candidate);
-            self.next_class += 1;
+            self.commit(candidate, own_sums);
         }
         Ok(decision)
     }
@@ -376,13 +497,11 @@ impl Membership {
     /// the override skips the feasibility predicate, not input validation.
     pub fn force_admit(&mut self, flow: &FlowRequest) -> Result<AdmissionDecision, DdcrError> {
         let candidate = self.build_class(flow)?;
-        let report = self.evaluate_candidate(&candidate)?;
-        let decision = Self::decide(&candidate, &report);
+        let (decision, own_sums) = self.decide(&candidate)?;
         if matches!(decision, AdmissionDecision::Rejected { .. }) {
             self.violations += 1;
         }
-        self.admitted.push(candidate);
-        self.next_class += 1;
+        self.commit(candidate, own_sums);
         Ok(decision)
     }
 
@@ -394,6 +513,9 @@ impl Membership {
     /// infeasible on one shared medium may fit once interference is split —
     /// while still sound per channel. Also returns the per-channel ξ
     /// budgets ([`multibus::channel_budgets`]) for operator reporting.
+    ///
+    /// The sharding reassigns classes globally, so this predicate runs the
+    /// full per-channel evaluation; only an admission moves the kept sums.
     ///
     /// # Errors
     ///
@@ -455,8 +577,8 @@ impl Membership {
             }
         };
         if matches!(decision, AdmissionDecision::Admitted { .. }) {
-            self.admitted.push(candidate);
-            self.next_class += 1;
+            let own_sums = self.stage(&candidate)?;
+            self.commit(candidate, own_sums);
         }
         Ok((decision, budgets))
     }
@@ -472,7 +594,9 @@ impl Membership {
             .map_err(|e| DdcrError::InvalidConfig(e.to_string()))
     }
 
-    /// Re-evaluates the whole admitted set against the current partition.
+    /// Re-evaluates the whole admitted set against the current partition
+    /// with [`feasibility::evaluate`], independently of the kept sums: the
+    /// oracle the incremental admission path is checked against. O(n²).
     ///
     /// # Errors
     ///
@@ -484,7 +608,8 @@ impl Membership {
 
     /// Checks the membership invariants: every admitted flow's source is a
     /// present member with at least one leaf, and — unless an operator
-    /// override already broke it — the admitted set is feasible.
+    /// override already broke it — the admitted set is feasible by a full
+    /// re-evaluation.
     ///
     /// # Errors
     ///
@@ -686,11 +811,52 @@ mod tests {
     }
 
     #[test]
+    fn free_pool_and_present_count_track_the_partition() {
+        let config = DdcrConfig::for_sources(5, Ticks(100_000)).unwrap();
+        let mut m = Membership::new(config, MediumConfig::ethernet(), 5, 2).unwrap();
+        let q = m.allocation().leaves();
+        assert_eq!(m.join(SourceId(0)).unwrap().leaves, vec![0, 1]);
+        assert_eq!(m.join(SourceId(1)).unwrap().leaves, vec![2, 3]);
+        assert_eq!(m.join(SourceId(2)).unwrap().leaves, vec![4, 5]);
+        m.leave(SourceId(1)).unwrap();
+        m.leave(SourceId(0)).unwrap();
+        assert_eq!(m.present_count(), 1);
+        assert_eq!(m.free_leaf_count(), q - 2);
+        // Reclaimed leaves are handed out again lowest first.
+        assert_eq!(m.join(SourceId(3)).unwrap().leaves, vec![0, 1]);
+        assert_eq!(m.join(SourceId(0)).unwrap().leaves, vec![2, 3]);
+        assert_eq!(m.join(SourceId(1)).unwrap().leaves, vec![6, 7]);
+        assert_eq!(m.present_count(), 4);
+        assert_eq!(
+            m.free_leaf_count(),
+            m.allocation().free_leaves().len() as u64
+        );
+    }
+
+    #[test]
+    fn leave_takes_the_dropped_terms_out_of_every_survivor() {
+        let mut m = fabric(3);
+        for s in 0..3 {
+            m.join(SourceId(s)).unwrap();
+            m.admit(&roomy_flow(s, "a")).unwrap();
+            m.admit(&roomy_flow(s, "b")).unwrap();
+        }
+        m.leave(SourceId(1)).unwrap();
+        let report = m.evaluate().unwrap();
+        assert_eq!(m.class_sums().len(), 4);
+        let pairs = m.admitted().iter().zip(m.class_sums());
+        for ((class, sums), full) in pairs.zip(&report.per_class) {
+            let kept =
+                feasibility::finish(class, *sums, &m.config, &m.allocation, &m.medium).unwrap();
+            assert_eq!(&kept, full);
+        }
+    }
+
+    #[test]
     fn free_pool_exhaustion_is_an_error_not_a_panic() {
         let config = DdcrConfig::for_sources(2, Ticks(100_000)).unwrap();
         let q = config.static_tree.leaves();
-        let mut m =
-            Membership::new(config, MediumConfig::ethernet(), 2, q).unwrap();
+        let mut m = Membership::new(config, MediumConfig::ethernet(), 2, q).unwrap();
         // First joiner takes the whole pool.
         assert_eq!(m.join(SourceId(0)).unwrap().leaves.len(), q as usize);
         let err = m.join(SourceId(1)).unwrap_err();
