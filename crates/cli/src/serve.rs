@@ -397,4 +397,80 @@ not json at all\n\
         assert!(safe);
         assert!(out.contains("\"decision\":\"admit\""), "{out}");
     }
+
+    #[test]
+    fn multichannel_session_is_checked_against_its_own_predicate() {
+        // 64 flows fit once sharded over four channels; one medium holds
+        // only 32 of them. The end-of-session invariant must re-evaluate
+        // the predicate that admitted them, not the single-medium one.
+        // (The same session at z = 800 with the serve-smoke `telemetry`
+        // flow runs in CI.)
+        let mut o = opts();
+        o.sources = 64;
+        o.channels = 4;
+        let mut script = String::new();
+        for s in 0..64 {
+            script.push_str(&format!("{{\"op\":\"join\",\"station\":{s}}}\n"));
+        }
+        for s in 0..64 {
+            script.push_str(&format!(
+                "{{\"op\":\"flow\",\"station\":{s},\"name\":\"telemetry\",\"bits\":8000,\
+                 \"deadline\":300000,\"arrivals\":1,\"window\":10000000}}\n"
+            ));
+        }
+        let (out, safe) = run(&script, &o);
+        assert_eq!(out.matches("\"decision\":\"admit\"").count(), 64);
+        let summary = out.lines().last().unwrap();
+        assert!(safe, "{summary}");
+        assert!(
+            summary.contains("\"violations\":0,\"safe\":true"),
+            "{summary}"
+        );
+        // The single-medium predicate really is stricter on this session.
+        o.channels = 1;
+        let (single, _) = run(&script, &o);
+        assert_eq!(single.matches("\"decision\":\"admit\"").count(), 32);
+    }
+
+    #[test]
+    fn multichannel_leave_that_rebalances_into_infeasibility_is_reported() {
+        // `balance_by_load` reassigns every class when the set changes, so
+        // a leave can regroup the survivors onto channels where they no
+        // longer fit. Here dropping station 6's flow puts the two tightest
+        // classes on one channel: no override was used, yet the admitted
+        // set is infeasible, and the session must say so.
+        let mut o = opts();
+        o.sources = 8;
+        o.channels = 3;
+        let flow = |s: u32, bits: u64, deadline: u64, arrivals: u64, window: u64| {
+            format!(
+                "{{\"op\":\"flow\",\"station\":{s},\"name\":\"f\",\"bits\":{bits},\
+                 \"deadline\":{deadline},\"arrivals\":{arrivals},\"window\":{window}}}\n"
+            )
+        };
+        let script = [
+            "{\"op\":\"join\",\"station\":2}\n".to_owned(),
+            flow(2, 16_000, 100_000, 1, 1_000_000),
+            "{\"op\":\"join\",\"station\":6}\n".to_owned(),
+            flow(6, 8_000, 200_000, 2, 1_000_000),
+            "{\"op\":\"join\",\"station\":4}\n".to_owned(),
+            flow(4, 8_000, 100_000, 2, 1_000_000),
+            flow(4, 8_000, 300_000, 2, 1_000_000),
+            flow(2, 16_000, 1_000_000, 4, 10_000_000),
+            "{\"op\":\"leave\",\"station\":6}\n".to_owned(),
+        ]
+        .concat();
+        let (out, safe) = run(&script, &o);
+        assert_eq!(out.matches("\"decision\":\"admit\"").count(), 5, "{out}");
+        let summary = out.lines().last().unwrap();
+        assert!(!safe, "{summary}");
+        assert!(
+            summary.contains("\"violations\":0,\"safe\":false"),
+            "{summary}"
+        );
+        assert!(summary.contains("invariant_error"), "{summary}");
+        // Before the leave the same set was feasible.
+        let before: String = script.lines().take(8).map(|l| format!("{l}\n")).collect();
+        assert!(run(&before, &o).1);
+    }
 }

@@ -146,6 +146,11 @@ pub struct Membership {
     join_nu: u64,
     next_class: u32,
     violations: u64,
+    /// Channels the admission predicate shards over: 1 until
+    /// [`Membership::admit_multichannel`] first runs, then its count, so
+    /// [`Membership::check_invariants`] re-evaluates the predicate the
+    /// session actually admitted under.
+    channels: usize,
 }
 
 impl Membership {
@@ -195,6 +200,7 @@ impl Membership {
             join_nu,
             next_class: 0,
             violations: 0,
+            channels: 1,
         })
     }
 
@@ -529,6 +535,9 @@ impl Membership {
         channels: usize,
     ) -> Result<(AdmissionDecision, Vec<crate::multibus::ChannelXiBudget>), DdcrError> {
         let candidate = self.build_class(flow)?;
+        if self.channels == 1 {
+            self.channels = channels.max(1);
+        }
         let mut classes = self.admitted.clone();
         classes.push(candidate.clone());
         let set = MessageSet::new(self.present.len() as u32, classes)
@@ -609,7 +618,10 @@ impl Membership {
     /// Checks the membership invariants: every admitted flow's source is a
     /// present member with at least one leaf, and — unless an operator
     /// override already broke it — the admitted set is feasible by a full
-    /// re-evaluation.
+    /// re-evaluation of the predicate the session admits under: the single
+    /// medium, or, once [`Membership::admit_multichannel`] has run, the
+    /// admitted set sharded over its channel count with
+    /// [`crate::multibus::balance_by_load`].
     ///
     /// # Errors
     ///
@@ -631,8 +643,22 @@ impl Membership {
             }
         }
         if self.violations == 0 && !self.admitted.is_empty() {
-            let report = self.evaluate()?;
-            if !report.feasible() {
+            let feasible = if self.channels > 1 {
+                let set = self.message_set()?;
+                let assignment = crate::multibus::balance_by_load(&set, self.channels);
+                crate::multibus::evaluate(
+                    &set,
+                    &assignment,
+                    &self.config,
+                    &self.allocation,
+                    &self.medium,
+                )?
+                .iter()
+                .all(FeasibilityReport::feasible)
+            } else {
+                self.evaluate()?.feasible()
+            };
+            if !feasible {
                 return Err(DdcrError::InvalidConfig(
                     "admitted set became infeasible without an operator \
                      override — admission invariant broken"

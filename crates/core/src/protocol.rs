@@ -34,7 +34,7 @@ use crate::indices::StaticAllocation;
 use crate::mts::{Interval, MtsEvent, MtsSearch, SlotOutcome};
 use ddcr_sim::{
     Action, AttemptCycleHint, EpochStamp, Frame, HoldHint, Message, MessageId, Observation,
-    PhaseHint, ProtocolPhase, SearchHint, SearchSlotRecord, SourceId, Station, Ticks, WakeHint,
+    PhaseHint, ProtocolPhase, SourceId, Station, Ticks, WakeHint,
 };
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +80,8 @@ impl ProtocolCounters {
     /// collisions and interference. The private subset — `attempts`,
     /// `transmitted`, `burst_continuations`, `crashes`, `rejoins` — counts
     /// this station's own actions and never changes while it stays silent,
-    /// so a quiet replica catching up after a contention fast-forward keeps
-    /// its own values.
+    /// so a parked replica catching up through an epoch rebase keeps its
+    /// own values.
     fn adopt_shared(&mut self, other: &ProtocolCounters) {
         self.tts_runs = other.tts_runs;
         self.tts_empty_runs = other.tts_empty_runs;
@@ -93,16 +93,16 @@ impl ProtocolCounters {
     }
 }
 
-/// The opaque checkpoint an engaged replica hands the engine at the end of
-/// a contention fast-forward run (see [`Station::search_checkpoint`]).
+/// The opaque checkpoint a synced replica hands the engine for the
+/// active-set wake shortcut (see [`Station::resync_checkpoint`]).
 ///
-/// Carries the engaged replica's post-run epoch coordinates plus its full
-/// counter block; a quiet replica rebuilds the shared automaton from the
-/// stamp (the proven resynchronization mechanism), replays only the final
-/// epoch's tail of slot records, and adopts the shared counter subset —
-/// `O(final epoch)` work instead of `O(whole run)`.
+/// Carries the replica's epoch coordinates plus its full counter block; a
+/// waking parked replica rebuilds the shared automaton from the stamp (the
+/// proven resynchronization mechanism), replays only the final epoch's
+/// tail of the catch-up log, and adopts the shared counter subset —
+/// `O(final epoch)` work instead of `O(dormant span)`.
 #[derive(Debug, Clone, Copy)]
-struct SearchCheckpoint {
+struct EpochCheckpoint {
     stamp: EpochStamp,
     counters: ProtocolCounters,
 }
@@ -732,19 +732,16 @@ impl Station for DdcrStation {
     }
 
     fn wake_hint(&self) -> WakeHint {
-        // Dormancy is exactly the regime `next_ready` answers `None` for
-        // while Online: an empty queue, no burst reservation, and the
-        // time-free TTs/Attempt idle cycle, in which this replica is
-        // provably silent and every deferred catch-up primitive replays
-        // exactly. A resynchronizing replica stays live (its per-slot
-        // buffering and hint vetoes must be consulted), and a synced
-        // replica outside the idle cycle — mid STs, or under a burst
-        // reservation — stays live so the shared-state vetoes the chorus
-        // relies on are always carried by an active station.
+        // A synced replica with an empty queue is provably silent in every
+        // phase: `poll` answers Idle, no observation can enqueue, and only
+        // its own frame could hand it a burst reservation. Its tier vetoes
+        // — mid STs, off a cycle start, under a reservation — come from
+        // shared state, which the engine's live phase witness (a synced
+        // replica too) raises on its behalf. A resynchronizing replica
+        // stays live: its per-slot buffering must be consulted.
         if matches!(self.mode, Mode::Online)
             && self.queue.is_empty()
-            && self.burst_reserved_for.is_none()
-            && matches!(self.phase, Phase::Tts(_) | Phase::Attempt)
+            && self.burst_reserved_for != Some(self.source)
         {
             WakeHint::Dormant
         } else {
@@ -807,45 +804,16 @@ impl Station for DdcrStation {
         }
     }
 
-    fn search_hint(&self, _now: Ticks) -> SearchHint {
-        if !matches!(self.mode, Mode::Online) {
-            // Receive-only / fenced replicas stay on the stepped path: they
-            // never veto a run and may rejoin exactly mid-run.
-            return SearchHint::Contend;
-        }
-        if self.queue.is_empty() && self.burst_reserved_for != Some(self.source) {
-            // Nothing to send and no channel hold: every `poll` in every
-            // phase returns `Idle` on an empty queue, and no own-source
-            // frame can appear on the wire to re-arm a reservation while
-            // this replica stays silent — the Quiet promise holds for the
-            // whole run (arrivals terminate it before the queue can grow).
-            SearchHint::Quiet
-        } else {
-            SearchHint::Engage
-        }
-    }
-
-    fn search_checkpoint(&self) -> Option<Box<dyn std::any::Any>> {
-        if !matches!(self.mode, Mode::Online) {
-            return None;
-        }
-        Some(Box::new(SearchCheckpoint {
-            stamp: self.epoch_stamp(),
-            counters: self.counters,
-        }))
-    }
-
     fn resync_checkpoint(&self) -> Option<(Ticks, Box<dyn std::any::Any + Send>)> {
-        // Same payload as the contention checkpoint: epoch coordinates plus
-        // the full counter block. Only a synced replica can vouch for the
-        // shared automaton.
+        // Epoch coordinates plus the full counter block. Only a synced
+        // replica can vouch for the shared automaton.
         if !matches!(self.mode, Mode::Online) {
             return None;
         }
         let stamp = self.epoch_stamp();
         Some((
             stamp.start,
-            Box::new(SearchCheckpoint {
+            Box::new(EpochCheckpoint {
                 stamp,
                 counters: self.counters,
             }),
@@ -859,7 +827,7 @@ impl Station for DdcrStation {
         // verbatim: the shared state at the boundary is a pure function of
         // the stamp, and the tail replay the engine runs next reproduces
         // everything since.
-        let Some(cp) = checkpoint.downcast_ref::<SearchCheckpoint>() else {
+        let Some(cp) = checkpoint.downcast_ref::<EpochCheckpoint>() else {
             return false;
         };
         if !matches!(self.mode, Mode::Online) {
@@ -870,62 +838,8 @@ impl Station for DdcrStation {
     }
 
     fn resync_adopt(&mut self, checkpoint: &dyn std::any::Any) {
-        if let Some(cp) = checkpoint.downcast_ref::<SearchCheckpoint>() {
+        if let Some(cp) = checkpoint.downcast_ref::<EpochCheckpoint>() {
             self.counters.adopt_shared(&cp.counters);
-        }
-    }
-
-    fn skip_search(
-        &mut self,
-        from: Ticks,
-        records: &[SearchSlotRecord],
-        checkpoint: Option<&dyn std::any::Any>,
-        _slot: Ticks,
-    ) {
-        if matches!(self.mode, Mode::Online) {
-            if let Some(cp) =
-                checkpoint.and_then(|c| c.downcast_ref::<SearchCheckpoint>())
-            {
-                if cp.stamp.start >= from {
-                    // Epoch-anchored shortcut: within one epoch the shared
-                    // state is a pure function of the epoch coordinates and
-                    // the observations since its start (the resynchronization
-                    // soundness argument, see `observe_resync`), so rebuild
-                    // at the boundary and replay only the final epoch's tail.
-                    // The shared counters span the whole run, including the
-                    // epochs skipped over, so adopt them from the engaged
-                    // replica; the private ones are untouched — this replica
-                    // was provably silent.
-                    self.reinitialize_at_epoch(cp.stamp);
-                    for record in records {
-                        if record.at >= cp.stamp.start {
-                            self.observe_online(
-                                record.at,
-                                record.next_free,
-                                &record.observation,
-                            );
-                        }
-                    }
-                    self.counters.adopt_shared(&cp.counters);
-                    return;
-                }
-            }
-            // Short run: the final epoch began before the run did, so the
-            // records cannot anchor a rebuild — exact per-record replay.
-            for record in records {
-                self.observe_online(record.at, record.next_free, &record.observation);
-            }
-            // The reference stepper polls a quiet replica every slot, and an
-            // empty-queue poll clears the frozen time index; mirror that so
-            // the post-run state is bitwise identical.
-            self.time_index = None;
-            self.time_index_for = None;
-        } else {
-            // Defensive (the engine steps non-Online replicas): buffer or
-            // drop through the regular observe path.
-            for record in records {
-                self.observe(record.at, record.next_free, &record.observation);
-            }
         }
     }
 
@@ -1754,7 +1668,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_search_matches_replay_exactly() {
+    fn epoch_rebase_matches_replay_exactly() {
         let cfg = config();
         let medium = MediumConfig::ethernet();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 3).unwrap();
@@ -1762,28 +1676,28 @@ mod tests {
             DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits)
                 .unwrap()
         };
-        // Stations 0 and 1 contend (same-class collision forces TTs → STs →
-        // resolution, crossing several epoch boundaries); station 2 stays
-        // quiet throughout.
+        // Stations 0 and 1 contend in three waves (same-class collisions
+        // force TTs → STs → resolution, and idle cycles between the waves
+        // start fresh epochs); station 2 stays silent throughout, as a
+        // parked station does.
         let mut engaged = [mk(0), mk(1)];
-        engaged[0].deliver(msg(0, 0, 0, 500_000));
-        engaged[0].deliver(msg(1, 0, 0, 900_000));
-        engaged[1].deliver(msg(2, 1, 0, 500_000));
         let mut quiet = mk(2);
-        assert_eq!(quiet.search_hint(Ticks::ZERO), SearchHint::Quiet);
-        assert_eq!(engaged[0].search_hint(Ticks::ZERO), SearchHint::Engage);
+        assert_eq!(quiet.wake_hint(), WakeHint::Dormant);
 
-        // Drive the contention to completion slot by slot, recording every
-        // slot, the quiet replica's state after it, and the checkpoint an
-        // engaged replica would hand the engine at that point.
+        // Drive the channel slot by slot, recording every slot, the silent
+        // replica's state after it, and the checkpoint a caught-up replica
+        // would hand the engine at that point.
         let mut records = Vec::new();
         let mut snapshots = vec![quiet.clone()];
         let mut checkpoints = Vec::new();
         let mut now = Ticks::ZERO;
-        let mut slots_after_drain = 0;
-        while slots_after_drain < 4 && records.len() < 200 {
-            if engaged.iter().all(|s| s.backlog() == 0) {
-                slots_after_drain += 1;
+        for slot in 0..90u64 {
+            if slot % 30 == 0 {
+                let id = slot;
+                let d = now.as_u64();
+                engaged[0].deliver(msg(id, 0, d, 500_000));
+                engaged[0].deliver(msg(id + 1, 0, d, 900_000));
+                engaged[1].deliver(msg(id + 2, 1, d, 500_000));
             }
             let frames: Vec<Frame> = engaged
                 .iter_mut()
@@ -1802,39 +1716,49 @@ mod tests {
                 s.observe(now, next_free, &obs);
             }
             quiet.observe(now, next_free, &obs);
-            records.push(SearchSlotRecord {
-                at: now,
-                next_free,
-                observation: obs,
-            });
+            records.push((now, next_free, obs));
             snapshots.push(quiet.clone());
-            checkpoints.push(engaged[0].search_checkpoint());
+            checkpoints.push(engaged[0].resync_checkpoint().unwrap());
             now = next_free;
         }
         assert!(engaged.iter().all(|s| s.backlog() == 0), "drain stalled");
-        assert!(records.len() >= 8, "contention resolved suspiciously fast");
+        assert!(
+            quiet.counters().sts_runs >= 3,
+            "the waves never reached STs"
+        );
 
-        // Every (start, end) window is a possible fast-forward run: a quiet
-        // replica at state `start` must land on the reference state at `end`
-        // from one skip_search call. Short windows exercise the full-replay
-        // fallback (the checkpoint's epoch began before the run); long ones
-        // exercise the epoch-anchored rebuild.
+        // Every (start, end) window is a possible dormant span: a replica
+        // at state `start` rebased onto the checkpoint's epoch, fed the
+        // records from the epoch boundary on, then adopting the shared
+        // counters, must land on the reference state at `end` — whenever
+        // the boundary falls inside the window, as the engine requires.
+        let mut rebased = 0;
         for start in 0..records.len() {
             for end in start..records.len() {
-                let mut skipping = snapshots[start].clone();
-                skipping.skip_search(
-                    records[start].at,
-                    &records[start..=end],
-                    checkpoints[end].as_deref(),
-                    Ticks(512),
-                );
+                let (epoch, checkpoint) = &checkpoints[end];
+                if *epoch < records[start].0 {
+                    continue;
+                }
+                let mut replica = snapshots[start].clone();
+                assert!(replica.resync_rebase(checkpoint.as_ref()));
+                for &(at, next_free, obs) in &records[start..=end] {
+                    if at >= *epoch {
+                        replica.observe(at, next_free, &obs);
+                    }
+                }
+                replica.resync_adopt(checkpoint.as_ref());
                 assert_eq!(
-                    full_digest(&skipping),
+                    full_digest(&replica),
                     full_digest(&snapshots[end + 1]),
                     "window {start}..={end}"
                 );
+                rebased += 1;
             }
         }
+        assert!(
+            rebased > records.len(),
+            "too few windows crossed an epoch boundary"
+        );
     }
 
     #[test]
@@ -1847,11 +1771,13 @@ mod tests {
         )
         .unwrap();
         station.crash(Ticks::ZERO);
-        assert_eq!(station.search_hint(Ticks::ZERO), SearchHint::Contend);
-        assert!(station.search_checkpoint().is_none());
+        assert_eq!(station.hold_hint(Ticks::ZERO), HoldHint::Contend);
+        assert!(station.resync_checkpoint().is_none());
         station.restart(Ticks(512));
-        assert_eq!(station.search_hint(Ticks(512)), SearchHint::Contend);
-        assert!(station.search_checkpoint().is_none());
+        assert_eq!(station.hold_hint(Ticks(512)), HoldHint::Contend);
+        assert_eq!(station.attempt_cycle_hint(Ticks(512), Ticks(512)), None);
+        assert_eq!(station.wake_hint(), WakeHint::Active);
+        assert!(station.resync_checkpoint().is_none());
     }
 
     #[test]

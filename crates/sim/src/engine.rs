@@ -15,7 +15,7 @@ use crate::fault::{fence_cap, FaultPlan, SlotFaults};
 use crate::membership::{MembershipChange, MembershipPlan, ABSENT};
 use crate::message::{Delivery, Frame, Message};
 use crate::metrics::{PhaseHint, ProtocolPhase, SimMetrics, XiBoundTable};
-use crate::station::{HoldHint, SearchHint, SearchSlotRecord, Station, WakeHint};
+use crate::station::{HoldHint, Station, WakeHint};
 use crate::stats::ChannelStats;
 use crate::time::Ticks;
 use crate::trace::{JsonlSink, Trace, TraceEvent};
@@ -108,14 +108,6 @@ enum CatchUp {
         frames: Vec<Frame>,
         slot: Ticks,
     },
-    /// A fast-forwarded contention run ([`Station::skip_search`]; parked
-    /// stations take the exact per-record replay path, so no checkpoint is
-    /// stored).
-    Search {
-        from: Ticks,
-        records: Vec<SearchSlotRecord>,
-        slot: Ticks,
-    },
     /// An analytic attempt-cycle run ([`Station::skip_attempt_cycles`]).
     Cycles {
         from: Ticks,
@@ -124,6 +116,12 @@ enum CatchUp {
         slot: Ticks,
     },
 }
+
+/// The most entries the catch-up log may hold. A station parked for a
+/// whole run would otherwise pin every entry logged since it parked;
+/// past the cap, stations parked more than half a cap behind the head are
+/// caught up in place (they stay parked) so the prefix can be dropped.
+const CATCHUP_CAP: usize = 2048;
 
 impl CatchUp {
     /// Channel time the deferred operation starts at. The log is
@@ -134,7 +132,6 @@ impl CatchUp {
             CatchUp::Slot { at, .. } => *at,
             CatchUp::Silence { from, .. }
             | CatchUp::Busy { from, .. }
-            | CatchUp::Search { from, .. }
             | CatchUp::Cycles { from, .. } => *from,
         }
     }
@@ -146,9 +143,6 @@ impl CatchUp {
             CatchUp::Silence { from, slots, slot } => *from + *slot * *slots,
             CatchUp::Busy { from, frames, .. } => {
                 frames.iter().fold(*from, |at, f| at + f.duration())
-            }
-            CatchUp::Search { from, records, .. } => {
-                records.last().map_or(*from, |r| r.next_free)
             }
             CatchUp::Cycles {
                 from,
@@ -230,7 +224,7 @@ pub struct Engine {
     catchup_base: u64,
     /// Compaction trigger: when the log outgrows this, drop the prefix
     /// every parked station has replayed and double the watermark
-    /// (amortised O(1) per append).
+    /// (amortised O(1) per append), up to [`CATCHUP_CAP`].
     catchup_watermark: usize,
     /// Active-set scheduling (on by default): dormant stations are parked
     /// out of the per-slot loops and caught up in batches on wake.
@@ -264,15 +258,10 @@ pub struct Engine {
     busy_fast_forward: bool,
     /// Scratch buffer for the frames of one busy run, reused across runs.
     busy_frames: Vec<Frame>,
-    /// Contention (tree-search) fast-forward (on by default): contended
-    /// stretches are resolved by stepping only the engaged stations while
-    /// the quiet majority is caught up once per run. Independently
-    /// switchable from the other two tiers for bisection.
+    /// Analytic contention fast-forward (on by default): runs of loaded
+    /// idle cycles are resolved in one step. Independently switchable from
+    /// the other two tiers for bisection.
     contention_fast_forward: bool,
-    /// Scratch buffer for the slot records of one contention run.
-    search_records: Vec<SearchSlotRecord>,
-    /// Scratch buffer for the engaged station indices of one contention run.
-    search_engaged: Vec<usize>,
     /// Scratch buffer for the contender source ids of one analytic
     /// attempt-cycle run.
     cycle_sources: Vec<u32>,
@@ -330,8 +319,6 @@ impl Engine {
             busy_fast_forward: true,
             busy_frames: Vec::new(),
             contention_fast_forward: true,
-            search_records: Vec::new(),
-            search_engaged: Vec::new(),
             cycle_sources: Vec::new(),
             metrics: None,
             sink: None,
@@ -420,13 +407,11 @@ impl Engine {
 
     /// Enables streaming metrics (phase accounting, per-station counters).
     /// Idempotent; call after attaching stations or before — the per-station
-    /// table grows on demand.
+    /// table grows on demand. The active-set scheduler keeps running: the
+    /// phase witness attributes slots for the parked stations (see
+    /// [`Engine::set_active_set`]).
     pub fn enable_metrics(&mut self) -> &mut Self {
         if self.metrics.is_none() {
-            // Dormancy is suspended under metrics (see
-            // [`Engine::set_active_set`]); catch any already-parked
-            // station up first.
-            self.wake_all();
             self.metrics = Some(SimMetrics::new(self.stations.len()));
         }
         self
@@ -493,17 +478,19 @@ impl Engine {
         self
     }
 
-    /// Enables or disables contention (tree-search) fast-forward (on by
+    /// Enables or disables analytic contention fast-forward (on by
     /// default), independently of the other two tiers so every mechanism
     /// can be bisected on its own.
     ///
-    /// With contention fast-forward on, a contended stretch — a DDCR tree
-    /// search resolving a collision, a backlog drain interleaved with
-    /// probe slots — is run by stepping only the stations engaged in it
-    /// (see [`SearchHint`]); the quiet majority is caught up once per run
-    /// through [`Station::skip_search`]. Statistics, traces, metrics
-    /// attribution and fault fencing are bitwise identical to the
-    /// reference stepper.
+    /// With contention fast-forward on, a run of loaded idle cycles —
+    /// every backlogged station sits the time tree search out and collides
+    /// at the attempt slot, cycle after cycle (see
+    /// [`crate::AttemptCycleHint`]) — is resolved in one step, every live
+    /// station caught up once through [`Station::skip_attempt_cycles`].
+    /// Other contended slots go through the reference stepper, which the
+    /// active-set scheduler already keeps O(contenders). Statistics,
+    /// traces, metrics attribution and fault fencing are bitwise identical
+    /// to the reference stepper.
     pub fn set_contention_fast_forward(&mut self, enabled: bool) -> &mut Self {
         self.contention_fast_forward = enabled;
         self
@@ -519,23 +506,24 @@ impl Engine {
     /// active set — and receive their deferred observations in one batch
     /// on their next wake (a delivery, a fault or membership transition,
     /// or a channel event that could break the promise). Statistics,
-    /// traces and delivery schedules are bitwise identical to the full
-    /// loops. Dormancy is suspended while metrics are enabled (per-slot
-    /// phase attribution needs every synced station live), so enabling
-    /// metrics is equivalent to switching the scheduler off.
+    /// traces, metrics and delivery schedules are bitwise identical to the
+    /// full loops.
+    ///
+    /// The lowest-index active station with a [`Station::phase_hint`] is
+    /// never parked: the *phase witness*. A replicated protocol answers
+    /// phase hints from shared state every synced replica agrees on, so
+    /// the one live witness attributes slots for every parked replica when
+    /// metrics are on, and carries the shared-state vetoes of the
+    /// fast-forward tiers (mid tree search, say) that let such replicas
+    /// park in any phase (see [`WakeHint::Dormant`]). Every crash, join and
+    /// leave wakes the parked stations, and the next park pass pins a new
+    /// witness.
     pub fn set_active_set(&mut self, enabled: bool) -> &mut Self {
         if !enabled {
             self.wake_all();
         }
         self.active_set = enabled;
         self
-    }
-
-    /// Whether stations may currently be parked: the scheduler is on and
-    /// metrics are off (a dormant station's stale `phase_hint` must never
-    /// be consulted for slot attribution).
-    fn active_set_enabled(&self) -> bool {
-        self.active_set && self.metrics.is_none()
     }
 
     /// Schedules a batch of future arrivals.
@@ -672,8 +660,26 @@ impl Engine {
         self.catchup.push_back(entry);
         if self.catchup.len() >= self.catchup_watermark {
             self.compact_catchup();
-            self.catchup_watermark = (self.catchup.len() * 2).max(64);
+            if self.catchup.len() >= CATCHUP_CAP {
+                // A long-parked station pins the prefix: catch every
+                // station more than half a cap behind up in place — it
+                // stays parked — and drop what they have now replayed.
+                let stale = self.catchup_base + (self.catchup.len() - CATCHUP_CAP / 2) as u64;
+                for idx in 0..self.stations.len() {
+                    if self.hot.parked[idx] && self.hot.cursor[idx] < stale {
+                        self.observe_skipped(idx);
+                    }
+                }
+                self.compact_catchup();
+            }
+            self.catchup_watermark = (self.catchup.len() * 2).clamp(64, CATCHUP_CAP);
         }
+    }
+
+    /// Current catch-up log length, for the log-bound tests.
+    #[cfg(test)]
+    fn catchup_len(&self) -> usize {
+        self.catchup.len()
     }
 
     /// Drops the catch-up prefix every parked station has already
@@ -729,9 +735,9 @@ impl Engine {
         // First log entry starting at or after the epoch boundary.
         let t = self.catchup.partition_point(|e| e.start() < epoch);
         // Locate the boundary: exactly between entries, or splittably
-        // inside entry `t - 1` (silence runs advance the idle automaton a
-        // whole slot at a time and search runs record every slot, so both
-        // can be entered mid-span; anything else falls back).
+        // inside entry `t - 1` (a silence run advances the idle automaton a
+        // whole slot at a time, so it can be entered mid-span; anything
+        // else falls back).
         let (first, cut) = if t < self.catchup.len() && self.catchup[t].start() == epoch {
             (t, None)
         } else if t == 0 {
@@ -753,7 +759,6 @@ impl Engine {
                     {
                         (t - 1, Some(epoch))
                     }
-                    CatchUp::Search { .. } => (t - 1, Some(epoch)),
                     _ => return false,
                 }
             }
@@ -779,8 +784,7 @@ impl Engine {
 
     /// Replays catch-up log entries `[from..to)` into station `idx`;
     /// `cut` enters the first replayed entry mid-span at the given channel
-    /// time (only ever a silence run or a recorded search, per
-    /// [`Engine::try_anchored_catchup`]).
+    /// time (only ever a silence run, per [`Engine::try_anchored_catchup`]).
     fn replay_entries(&mut self, idx: usize, from: usize, to: usize, cut: Option<Ticks>) {
         let catchup = std::mem::take(&mut self.catchup);
         let station = &mut self.stations[idx];
@@ -801,20 +805,6 @@ impl Engine {
                     None => station.skip_silence(*from, *slots, *slot),
                 },
                 CatchUp::Busy { from, frames, slot } => station.skip_busy(*from, frames, *slot),
-                CatchUp::Search {
-                    from,
-                    records,
-                    slot,
-                } => match cut {
-                    Some(at) => {
-                        // The epoch-branch tail of `skip_search`, driven by
-                        // the engine: every record from the boundary on.
-                        for r in records.iter().filter(|r| r.at >= at) {
-                            station.observe(r.at, r.next_free, &r.observation);
-                        }
-                    }
-                    None => station.skip_search(*from, records, None, *slot),
-                },
                 CatchUp::Cycles {
                     from,
                     cycles,
@@ -873,9 +863,9 @@ impl Engine {
         self.capture_anchor(idx);
     }
 
-    /// Wakes every parked station (fault/membership transitions, metrics
-    /// enablement, scheduler shutdown, and corrupted otherwise-silent
-    /// slots all invalidate parked-state assumptions wholesale).
+    /// Wakes every parked station (fault/membership transitions, scheduler
+    /// shutdown, and corrupted otherwise-silent slots all invalidate
+    /// parked-state assumptions wholesale).
     fn wake_all(&mut self) {
         if self.parked_count == 0 {
             return;
@@ -897,17 +887,28 @@ impl Engine {
     /// dormancy. Down stations never park (their fencing already keeps
     /// them out of every loop, and crash/restart bookkeeping must see
     /// them); an empty local queue is a hard engine-side precondition on
-    /// top of the station's own promise.
+    /// top of the station's own promise. The first active station with a
+    /// phase hint stays live as the phase witness (see
+    /// [`Engine::set_active_set`]).
     fn park_dormant(&mut self) {
-        if !self.active_set_enabled() {
+        if !self.active_set {
             return;
         }
+        let mut need_witness = true;
         let mut first_parked = None;
         let mut k = 0;
         while k < self.active.len() {
             let idx = self.active[k];
-            if self.hot.down[idx].is_none()
-                && matches!(self.stations[idx].wake_hint(), WakeHint::Dormant)
+            if self.hot.down[idx].is_some() {
+                k += 1;
+                continue;
+            }
+            if need_witness && self.stations[idx].phase_hint().is_some() {
+                need_witness = false;
+                k += 1;
+                continue;
+            }
+            if matches!(self.stations[idx].wake_hint(), WakeHint::Dormant)
                 && self.stations[idx].backlog() == 0
             {
                 self.active.remove(k);
@@ -1039,7 +1040,7 @@ impl Engine {
             if self.busy_fast_forward && self.try_busy_run(limit) {
                 return;
             }
-            if self.contention_fast_forward && self.try_search_run(limit) {
+            if self.contention_fast_forward && self.try_attempt_cycle_run(limit) {
                 return;
             }
         }
@@ -1083,9 +1084,8 @@ impl Engine {
     fn skippable_slots(&mut self, limit: Ticks) -> Option<u64> {
         // Earliest time any station may act (None = never). Down stations
         // are fenced off the channel, so their hints do not apply; parked
-        // stations promise `next_ready` of `None` for as long as they stay
-        // parked (see [`WakeHint::Dormant`]), so scanning the active set
-        // is exact.
+        // stations count as `None` for as long as they stay parked (see
+        // [`WakeHint::Dormant`]), so scanning the active set is exact.
         let mut horizon: Option<Ticks> = None;
         for &idx in &self.active {
             if self.hot.down[idx].is_some() {
@@ -1165,9 +1165,8 @@ impl Engine {
     fn try_busy_run(&mut self, limit: Ticks) -> bool {
         let mut holder: Option<usize> = None;
         let mut max_frames = u64::MAX;
-        // Parked stations promise `Quiet(u64::MAX)` — exactly the answer
-        // their live state would give — so the scan covers the active set
-        // only.
+        // Parked stations never veto a run the active set admits (see
+        // [`WakeHint::Dormant`]), so the scan covers the active set only.
         for &idx in &self.active {
             if self.hot.down[idx].is_some() {
                 continue;
@@ -1274,165 +1273,6 @@ impl Engine {
         done > 0
     }
 
-    /// Attempts a fast-forwarded contention (tree-search) run from `now`.
-    /// Returns `true` when at least one decision slot was resolved.
-    ///
-    /// Call only after [`Engine::deliver_due`] with no fault transition
-    /// due. Gathers every live station's [`Station::search_hint`]; the run
-    /// proceeds only when at least one station answers
-    /// [`SearchHint::Engage`] and at least one answers
-    /// [`SearchHint::Quiet`] — the engaged (and contending) stations are
-    /// then stepped through the reference per-slot cycle while the quiet
-    /// ones are caught up once at the end. The run length is capped by the
-    /// next scheduled fault/restart ordinal (the same fencing as the other
-    /// tiers), the next pending arrival, and `limit`.
-    fn try_search_run(&mut self, limit: Ticks) -> bool {
-        // The analytic tier first: a run of deterministic loaded idle
-        // cycles resolves in one step, no chorus stepping at all.
-        if self.try_attempt_cycle_run(limit) {
-            return true;
-        }
-        let mut engaged = std::mem::take(&mut self.search_engaged);
-        engaged.clear();
-        // Parked stations promise `Quiet` — exactly the answer their live
-        // state would give — so they count toward the quiet chorus without
-        // being consulted.
-        let mut quiet = self.parked_count;
-        let mut committed = false;
-        for &idx in &self.active {
-            if self.hot.down[idx].is_some() {
-                continue;
-            }
-            let station = &self.stations[idx];
-            match station.search_hint(self.now) {
-                SearchHint::Quiet => quiet += 1,
-                SearchHint::Engage => {
-                    committed = true;
-                    engaged.push(idx);
-                }
-                SearchHint::Contend => engaged.push(idx),
-            }
-        }
-        let max_slots = self.membership.fence(
-            self.slot_ordinal,
-            fence_cap(&self.faults, &self.hot.down, self.slot_ordinal, u64::MAX),
-        );
-        let mut ran = false;
-        if quiet > 0 && committed && max_slots > 0 && self.hint_attributable(&engaged) {
-            ran = self.run_search(&engaged, max_slots, limit);
-        }
-        self.search_engaged = engaged;
-        ran
-    }
-
-    /// Whether metrics attribution inside a contention run would match the
-    /// reference stepper: the per-slot [`PhaseHint`] must come from an
-    /// engaged station (quiet stations go stale for the duration of the
-    /// run), so if only a quiet station can attribute the slot the run is
-    /// refused. Synced replicas agree on the shared automaton, hence an
-    /// engaged synced answer *is* the reference answer; engaged stations
-    /// stay live for the whole (fault-fenced) run, so the check holds
-    /// run-wide. Vacuously true with metrics disabled.
-    fn hint_attributable(&self, engaged: &[usize]) -> bool {
-        if self.metrics.is_none() {
-            return true;
-        }
-        engaged
-            .iter()
-            .any(|&idx| self.stations[idx].phase_hint().is_some())
-            || self.current_phase_hint().is_none()
-    }
-
-    /// The contention-run chorus loop: polls and observes only the engaged
-    /// stations, slot by slot, with full per-slot statistics / trace /
-    /// metrics accounting (each slot is attributed exactly as the
-    /// reference stepper would — quiet stations poll [`Action::Idle`] by
-    /// contract, so the resolved outcome is identical), then catches the
-    /// quiet stations up once through [`Station::skip_search`], handing
-    /// them the engaged stations' synchronization checkpoint. Stops before
-    /// any slot with a pending arrival due, at `limit`, and as soon as
-    /// every engaged backlog drains (the channel is provably silent from
-    /// there on; the idle tier takes over).
-    fn run_search(&mut self, engaged: &[usize], max_slots: u64, limit: Ticks) -> bool {
-        let mut records = std::mem::take(&mut self.search_records);
-        records.clear();
-        let from = self.now;
-        let slot = Ticks(self.medium.slot_ticks);
-        while (records.len() as u64) < max_slots && self.now < limit {
-            if self.pending.last().is_some_and(|m| m.arrival <= self.now) {
-                // The reference stepper would deliver this arrival before
-                // polling; stop so the next `advance` does exactly that.
-                break;
-            }
-            let transmitters = self.collect_transmitters(engaged);
-            // Attribute the slot before observations mutate the shared
-            // automaton; an engaged synced replica's answer equals the
-            // reference stepper's (see `hint_attributable`).
-            let hint = if self.metrics.is_some() {
-                engaged
-                    .iter()
-                    .find_map(|&idx| self.stations[idx].phase_hint())
-            } else {
-                None
-            };
-            let (observation, advance) = self.medium.resolve(&transmitters);
-            self.transmitters = transmitters;
-            let next_free = self.now + advance;
-            self.account(&observation, next_free, &SlotFaults::default());
-            if self.metrics.is_some() {
-                self.observe_metrics(hint, &observation, &SlotFaults::default());
-            }
-            for &idx in engaged {
-                self.stations[idx].observe(self.now, next_free, &observation);
-            }
-            records.push(SearchSlotRecord {
-                at: self.now,
-                next_free,
-                observation,
-            });
-            self.now = next_free;
-            self.slot_ordinal += 1;
-            if engaged.iter().all(|&idx| self.stations[idx].backlog() == 0) {
-                break;
-            }
-            if self.busy_fast_forward
-                && engaged
-                    .iter()
-                    .any(|&idx| matches!(self.stations[idx].hold_hint(self.now), HoldHint::Hold(_)))
-            {
-                // An engaged station just committed to a hold (e.g. a burst
-                // acquisition): yield to the busy tier, which skips the held
-                // frames in one step instead of chorus-stepping them here.
-                break;
-            }
-        }
-        let done = records.len() as u64;
-        if done > 0 {
-            let checkpoint = engaged
-                .iter()
-                .find_map(|&idx| self.stations[idx].search_checkpoint());
-            for k in 0..self.active.len() {
-                let idx = self.active[k];
-                if self.hot.down[idx].is_some() || engaged.contains(&idx) {
-                    continue;
-                }
-                self.stations[idx].skip_search(from, &records, checkpoint.as_deref(), slot);
-            }
-            if self.parked_count > 0 {
-                self.record_catchup(CatchUp::Search {
-                    from,
-                    records: records.clone(),
-                    slot,
-                });
-            }
-            if let Some(metrics) = self.metrics.as_mut() {
-                metrics.on_search_skip(done);
-            }
-        }
-        self.search_records = records;
-        done > 0
-    }
-
     /// Attempts an analytic attempt-cycle run from `now`: a stretch of
     /// *loaded idle cycles* — every backlogged station sits the whole time
     /// tree search out and collides at the attempt slot, cycle after cycle
@@ -1446,7 +1286,7 @@ impl Engine {
     /// same cycle shape, and at least two are contenders. The cycle count
     /// is the minimum promise, cut at whole-cycle boundaries by the next
     /// pending arrival, the fault fence, and `limit`; the remainder falls
-    /// through to the chorus loop and the reference stepper.
+    /// through to the reference stepper.
     fn try_attempt_cycle_run(&mut self, limit: Ticks) -> bool {
         if !matches!(self.medium.collision_mode, CollisionMode::Destructive) {
             return false;
@@ -1457,10 +1297,10 @@ impl Engine {
         let mut probes: Option<u64> = None;
         let mut cycles = u64::MAX;
         let mut refused = false;
-        // Parked stations promise to be silent observers compatible with
-        // whatever cycle shape the contenders agree on, with an unbounded
-        // cycle count — exactly the hint their live (synced, empty-queue)
-        // state would give — so only the active set is consulted.
+        // Parked stations are silent observers compatible with whatever
+        // cycle shape the active set agrees on, with an unbounded cycle
+        // count (see [`WakeHint::Dormant`]), so only the active set is
+        // consulted.
         for &idx in &self.active {
             if self.hot.down[idx].is_some() {
                 continue;
@@ -1712,26 +1552,6 @@ impl Engine {
         }
     }
 
-    /// Polls each station in `indices` (skipping fenced-down ones) for the
-    /// slot starting at `now` and gathers the transmitted frames — the one
-    /// transmitter-collection loop shared by the reference stepper and the
-    /// contention chorus. Returns the reusable scratch buffer; callers put
-    /// it back via `self.transmitters` once the slot resolves.
-    fn collect_transmitters(&mut self, indices: &[usize]) -> Vec<Frame> {
-        let mut transmitters = std::mem::take(&mut self.transmitters);
-        transmitters.clear();
-        for &idx in indices {
-            if self.hot.down[idx].is_some() {
-                continue;
-            }
-            self.polls += 1;
-            if let Action::Transmit(frame) = self.stations[idx].poll(self.now) {
-                transmitters.push(frame);
-            }
-        }
-        transmitters
-    }
-
     /// Executes one decision slot (the reference stepper).
     fn step(&mut self) {
         if !self.membership.is_empty() {
@@ -1741,17 +1561,29 @@ impl Engine {
             self.process_fault_transitions();
         }
         self.deliver_due();
-        let active = std::mem::take(&mut self.active);
-        let transmitters = self.collect_transmitters(&active);
-        let had_transmitters = !transmitters.is_empty();
-        let slot = Ticks(self.medium.slot_ticks);
         // Attribute the slot before observations mutate the shared
-        // automaton (poll never changes phase state; observe does).
+        // automaton (poll never changes phase state; observe does), and
+        // while the active set — which holds the phase witness — is still
+        // in place.
         let hint = if self.metrics.is_some() {
             self.current_phase_hint()
         } else {
             None
         };
+        let active = std::mem::take(&mut self.active);
+        let mut transmitters = std::mem::take(&mut self.transmitters);
+        transmitters.clear();
+        for &idx in &active {
+            if self.hot.down[idx].is_some() {
+                continue;
+            }
+            self.polls += 1;
+            if let Action::Transmit(frame) = self.stations[idx].poll(self.now) {
+                transmitters.push(frame);
+            }
+        }
+        let had_transmitters = !transmitters.is_empty();
+        let slot = Ticks(self.medium.slot_ticks);
         let (observation, advance) = self.medium.resolve(&transmitters);
         self.transmitters = transmitters;
         let (observation, advance, slot_faults) = if self.faults.is_empty() {
@@ -1792,15 +1624,16 @@ impl Engine {
         self.slot_ordinal += 1;
     }
 
-    /// The slot attribution from the first synced station that offers one
-    /// (replicas agree on the shared automaton, so any synced answer is
-    /// the network's answer).
+    /// The slot attribution from the first synced active station that
+    /// offers one (replicas agree on the shared automaton, so any synced
+    /// answer is the network's answer; parked stations are synced, and
+    /// while any is parked the phase witness is active — see
+    /// [`Engine::set_active_set`]).
     fn current_phase_hint(&self) -> Option<PhaseHint> {
-        self.stations
+        self.active
             .iter()
-            .enumerate()
-            .filter(|(idx, _)| self.hot.down[*idx].is_none())
-            .find_map(|(_, station)| station.phase_hint())
+            .filter(|&&idx| self.hot.down[idx].is_none())
+            .find_map(|&idx| self.stations[idx].phase_hint())
     }
 
     /// Feeds one resolved slot into the metrics: phase/ξ accounting plus
@@ -2408,14 +2241,11 @@ mod tests {
         assert_eq!(reference.busy_skipped_slots, 0);
     }
 
-    /// A greedy transmitter that additionally implements the contention
-    /// fast-forward contract: engaged while it holds work, quiet (and
-    /// bulk-catch-up-able) otherwise. Observations are mirrored into a
-    /// shared log so tests can compare what a quiet station heard across
-    /// steppers.
+    /// A greedy transmitter that is idle (and provably silent) whenever its
+    /// queue is empty. Observations are mirrored into a shared log so tests
+    /// can compare what a quiet station heard across steppers.
     struct SearchingStation {
         inner: GreedyStation,
-        search_skipped: std::sync::Arc<std::sync::atomic::AtomicU64>,
         log: std::sync::Arc<std::sync::Mutex<Vec<(Ticks, Ticks, Observation)>>>,
     }
 
@@ -2423,7 +2253,6 @@ mod tests {
         fn new() -> Self {
             SearchingStation {
                 inner: GreedyStation::new(MediumConfig::ethernet().overhead_bits),
-                search_skipped: std::sync::Arc::default(),
                 log: std::sync::Arc::default(),
             }
         }
@@ -2450,36 +2279,13 @@ mod tests {
                 Some(now)
             }
         }
-        fn search_hint(&self, _now: Ticks) -> SearchHint {
-            if self.inner.queue.is_empty() {
-                SearchHint::Quiet
-            } else {
-                SearchHint::Engage
-            }
-        }
-        fn skip_search(
-            &mut self,
-            from: Ticks,
-            records: &[SearchSlotRecord],
-            _checkpoint: Option<&dyn std::any::Any>,
-            _slot: Ticks,
-        ) {
-            self.search_skipped
-                .fetch_add(records.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            let _ = from;
-            // Replay through `observe` so the shared log records exactly
-            // what the reference stepper would have reported.
-            for r in records {
-                self.observe(r.at, r.next_free, &r.observation);
-            }
-        }
     }
 
     /// Builds a three-station [`SearchingStation`] engine on an arbitrating
     /// medium (collisions resolve to the lowest source, so greedy
     /// contenders make progress) with the given fast-forward switches.
-    /// Returns the engine plus station 2's skip counter and observation
-    /// log — the tests keep station 2 quiet.
+    /// Returns the engine plus station 2's observation log — the tests
+    /// keep station 2 quiet.
     #[allow(clippy::type_complexity)]
     fn searching_trio(
         fast: bool,
@@ -2487,7 +2293,6 @@ mod tests {
         contention: bool,
     ) -> (
         Engine,
-        std::sync::Arc<std::sync::atomic::AtomicU64>,
         std::sync::Arc<std::sync::Mutex<Vec<(Ticks, Ticks, Observation)>>>,
     ) {
         let mut cfg = MediumConfig::ethernet();
@@ -2498,28 +2303,26 @@ mod tests {
         e.set_contention_fast_forward(contention);
         e.set_trace(Trace::enabled());
         let quiet = SearchingStation::new();
-        let skipped = quiet.search_skipped.clone();
         let log = quiet.log.clone();
         e.add_station(Box::new(SearchingStation::new()));
         e.add_station(Box::new(SearchingStation::new()));
         e.add_station(Box::new(quiet));
-        (e, skipped, log)
+        (e, log)
     }
 
     #[test]
-    fn search_run_matches_reference_stepper_bitwise() {
+    fn contended_trio_matches_reference_stepper_bitwise() {
         // Stations 0 and 1 contend (two arbitrated collisions, then a lone
         // success) while station 2 stays quiet: every switch combination
         // must produce identical stats, trace, timing, and quiet-station
         // observations.
         let run = |fast: bool, busy: bool, contention: bool| {
-            let (mut e, skipped, log) = searching_trio(fast, busy, contention);
+            let (mut e, log) = searching_trio(fast, busy, contention);
             e.add_arrivals([msg(0, 0, 0), msg(1, 0, 0), msg(10, 1, 0)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
-            (e, skipped, log)
+            (e, log)
         };
-        let (reference, ref_skipped, ref_log) = run(false, false, false);
-        assert_eq!(ref_skipped.load(std::sync::atomic::Ordering::Relaxed), 0, "reference must not search-skip");
+        let (reference, ref_log) = run(false, false, false);
         assert_eq!(reference.stats().collisions, 2);
         for fast in [false, true] {
             for busy in [false, true] {
@@ -2527,39 +2330,34 @@ mod tests {
                     if !(fast || busy || contention) {
                         continue;
                     }
-                    let (e, skipped, log) = run(fast, busy, contention);
+                    let (e, log) = run(fast, busy, contention);
                     let tag = format!("fast={fast} busy={busy} contention={contention}");
                     assert_eq!(e.now(), reference.now(), "{tag}");
                     assert_eq!(e.stats(), reference.stats(), "{tag}");
                     assert_eq!(e.trace().events(), reference.trace().events(), "{tag}");
                     assert_eq!(*log.lock().unwrap(), *ref_log.lock().unwrap(), "{tag}");
-                    // Bisection: the quiet station is caught up in bulk
-                    // exactly when contention fast-forward is on.
-                    assert_eq!(skipped.load(std::sync::atomic::Ordering::Relaxed) > 0, contention, "{tag}");
                 }
             }
         }
     }
 
     #[test]
-    fn search_run_stops_for_an_arrival_landing_mid_drain() {
+    fn contended_trio_arrival_mid_drain_matches_reference_stepper() {
         // Station 2's arrival lands while frame 2 of station 0's drain is
-        // on the wire; the run must break at the next decision slot so the
-        // arrival is delivered exactly where the reference stepper would —
-        // and station 2 flips from quiet to engaged for the second run.
-        let run = |contention: bool| {
-            let (mut e, skipped, _) = searching_trio(true, true, contention);
+        // on the wire: it must be delivered exactly where the reference
+        // stepper delivers it.
+        let run = |fast: bool| {
+            let (mut e, _) = searching_trio(fast, fast, fast);
             e.add_arrivals((0..3).map(|i| msg(i, 0, 0))).unwrap();
             e.add_arrivals([msg(7, 2, 1_500)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
-            (e, skipped)
+            e
         };
-        let (fast, skipped) = run(true);
-        let (reference, _) = run(false);
+        let fast = run(true);
+        let reference = run(false);
         assert_eq!(fast.stats(), reference.stats());
         assert_eq!(fast.trace().events(), reference.trace().events());
         assert_eq!(fast.stats().deliveries.len(), 4);
-        assert!(skipped.load(std::sync::atomic::Ordering::Relaxed) > 0);
     }
 
     #[test]
@@ -2568,7 +2366,7 @@ mod tests {
         // An erasure strikes slot 2, mid-contention: the run must stop at
         // ordinal 2 and hand the slot to the reference stepper.
         let run = |contention: bool| {
-            let (mut e, _, _) = searching_trio(true, true, contention);
+            let (mut e, _) = searching_trio(true, true, contention);
             e.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
                 slot: 2,
                 kind: FaultKind::EraseFrame,
@@ -2586,11 +2384,11 @@ mod tests {
     }
 
     #[test]
-    fn search_run_metrics_are_fully_attributed() {
-        // Contention-skipped slots keep exact per-slot metrics attribution;
-        // the skip counters are telemetry on top, not an accounting bucket.
-        let run = |contention: bool| {
-            let (mut e, _, _) = searching_trio(true, true, contention);
+    fn contended_trio_metrics_match_reference_stepper() {
+        // Contended slots keep exact per-slot metrics attribution and
+        // per-station counters under every fast path.
+        let run = |fast: bool| {
+            let (mut e, _) = searching_trio(fast, fast, fast);
             e.enable_metrics();
             e.add_arrivals([msg(0, 0, 0), msg(1, 0, 0), msg(10, 1, 0)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
@@ -2601,9 +2399,94 @@ mod tests {
         assert_eq!(fast.phase_slots, reference.phase_slots);
         assert_eq!(fast.stations(), reference.stations());
         assert_eq!(fast.violations_total, reference.violations_total);
-        assert_eq!(fast.search_skipped_slots, 3);
-        assert_eq!(fast.search_skip_runs, 1);
-        assert_eq!(reference.search_skipped_slots, 0);
+        assert_eq!(fast.stations()[0].collisions_seen, 2);
+    }
+
+    /// A greedy transmitter that promises dormancy whenever its queue is
+    /// empty, logging every observation it is fed, live or replayed.
+    struct ParkingStation {
+        inner: GreedyStation,
+        log: std::sync::Arc<std::sync::Mutex<Vec<(Ticks, Ticks, Observation)>>>,
+    }
+
+    impl Station for ParkingStation {
+        fn deliver(&mut self, message: Message) {
+            self.inner.deliver(message);
+        }
+        fn poll(&mut self, now: Ticks) -> Action {
+            self.inner.poll(now)
+        }
+        fn observe(&mut self, now: Ticks, next_free: Ticks, observation: &Observation) {
+            self.log
+                .lock()
+                .unwrap()
+                .push((now, next_free, *observation));
+            self.inner.observe(now, next_free, observation);
+        }
+        fn backlog(&self) -> usize {
+            self.inner.backlog()
+        }
+        fn next_ready(&self, now: Ticks) -> Option<Ticks> {
+            (!self.inner.queue.is_empty()).then_some(now)
+        }
+        fn wake_hint(&self) -> WakeHint {
+            if self.inner.queue.is_empty() {
+                WakeHint::Dormant
+            } else {
+                WakeHint::Active
+            }
+        }
+    }
+
+    #[test]
+    fn catchup_log_stays_bounded_while_a_station_sleeps_through_the_run() {
+        // Station 0 drains three caps' worth of frames, one logged slot
+        // each, while station 1 never receives anything and stays parked
+        // from the first park pass to the end of the run.
+        let run = |fast: bool| {
+            let mut e = Engine::new(MediumConfig::ethernet()).unwrap();
+            e.set_fast_forward(fast);
+            e.set_busy_fast_forward(fast);
+            e.set_contention_fast_forward(fast);
+            e.set_active_set(fast);
+            e.set_trace(Trace::enabled());
+            let mut logs = Vec::new();
+            for _ in 0..2 {
+                let station = ParkingStation {
+                    inner: GreedyStation::new(MediumConfig::ethernet().overhead_bits),
+                    log: std::sync::Arc::default(),
+                };
+                logs.push(station.log.clone());
+                e.add_station(Box::new(station));
+            }
+            e.add_arrivals((0..3 * CATCHUP_CAP as u64).map(|i| msg(i, 0, 0)))
+                .unwrap();
+            let max = Ticks(100_000_000);
+            let mut longest = 0;
+            while e.tracked_backlog() > 0 {
+                e.advance(max, true);
+                longest = longest.max(e.catchup_len());
+                assert_eq!(e.hot.parked[1], fast, "station 1 woke mid-run");
+            }
+            let replays_before_sync = e.replay_count();
+            e.run_to_completion(max).unwrap();
+            let log = logs[1].lock().unwrap().clone();
+            (e, log, longest, replays_before_sync)
+        };
+        let (fast, fast_log, longest, replays) = run(true);
+        let (reference, reference_log, _, _) = run(false);
+        assert_eq!(fast.now(), reference.now());
+        assert_eq!(fast.stats(), reference.stats());
+        assert_eq!(fast.trace().events(), reference.trace().events());
+        assert_eq!(fast_log, reference_log);
+        assert_eq!(fast.stats().deliveries.len(), 3 * CATCHUP_CAP);
+        assert!(
+            longest <= CATCHUP_CAP,
+            "catch-up log grew to {longest} entries"
+        );
+        assert!(longest > CATCHUP_CAP / 2, "the cap was never approached");
+        // The parked station was caught up in place before the run ended.
+        assert!(replays > 0);
     }
 
     #[test]

@@ -28,32 +28,6 @@ pub enum HoldHint {
     Hold(u64),
 }
 
-/// How a station relates to an upcoming stretch of **contended** decision
-/// slots — a tree-search resolution — (see [`Station::search_hint`]).
-///
-/// The engine fast-forwards a contention run by stepping only the engaged
-/// stations ([`SearchHint::Engage`] and, conservatively,
-/// [`SearchHint::Contend`]) slot by slot while every [`SearchHint::Quiet`]
-/// station is caught up once at the end of the run through
-/// [`Station::skip_search`]. At least one `Engage` and one `Quiet` answer
-/// are required for a run to start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchHint {
-    /// No promise: the station must be polled and observed every slot (the
-    /// conservative default). Unlike [`HoldHint::Contend`] this does not
-    /// veto the run — the engine simply keeps stepping the station.
-    Contend,
-    /// The station guarantees it polls [`Action::Idle`] at every decision
-    /// slot until something new is delivered to it, *whatever* the channel
-    /// does meanwhile (successes, collisions, silence). It accepts being
-    /// caught up in bulk through [`Station::skip_search`].
-    Quiet,
-    /// The station is (or may be) actively resolving channel contention —
-    /// it must be stepped slot by slot, and its participation is what makes
-    /// the run worth fast-forwarding for the quiet majority.
-    Engage,
-}
-
 /// A station's promise about a run of *loaded idle cycles* — the
 /// contention regime in which every backlogged station sits the whole time
 /// tree search out (its deadline class lies beyond the horizon) and then
@@ -63,8 +37,8 @@ pub enum SearchHint {
 /// Each cycle is `probes` provably silent probe slots followed by one
 /// destructively collided attempt slot, so an entire run is a pure
 /// function of its start time and the cycle count: the engine resolves it
-/// analytically in one step instead of chorus-stepping every contender
-/// through every slot.
+/// analytically in one step instead of stepping every contender through
+/// every slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptCycleHint {
     /// Silent probe slots at the start of each cycle (the protocol's
@@ -101,36 +75,28 @@ pub enum WakeHint {
     ///   what the channel carries meanwhile;
     /// * [`Station::backlog`] is `0` and stays `0` under any sequence of
     ///   deferred observations;
-    /// * [`Station::next_ready`] is `None`, [`Station::hold_hint`] is
-    ///   `Quiet(u64::MAX)`, [`Station::search_hint`] is `Quiet`, and
-    ///   [`Station::attempt_cycle_hint`] is a silent observer compatible
-    ///   with whatever cycle shape the contenders agree on — so the engine
-    ///   may answer tier-gating queries on the station's behalf;
+    /// * the tier-gating hints never veto a run the live stations admit:
+    ///   the engine answers them on the station's behalf as
+    ///   [`Station::next_ready`] `None`, [`Station::hold_hint`]
+    ///   `Quiet(u64::MAX)`, and an [`Station::attempt_cycle_hint`] silent
+    ///   observer compatible with whatever cycle shape the contenders
+    ///   agree on. A station that answers [`Station::phase_hint`] with
+    ///   `Some` may instead rely on the **phase witness** — the engine
+    ///   keeps the first active station with a phase hint live — when
+    ///   every veto it would raise comes from shared state the witness
+    ///   holds too (DDCR: a static tree search in progress, a cycle not
+    ///   at its start);
+    /// * [`Station::phase_hint`] equals that of any live synced replica, so
+    ///   the witness attributes slots for every parked replica;
     /// * the observation entry points ([`Station::observe`],
     ///   [`Station::skip_silence`], [`Station::skip_busy`],
-    ///   [`Station::skip_search`], [`Station::skip_attempt_cycles`]) may be
-    ///   deferred and replayed later, in channel order with identical
-    ///   arguments, leaving the station in exactly the state immediate
-    ///   calls would have;
+    ///   [`Station::skip_attempt_cycles`]) may be deferred and replayed
+    ///   later, in channel order with identical arguments, leaving the
+    ///   station in exactly the state immediate calls would have;
     /// * crucially, the promise may only *stop* holding through an
     ///   observation — so any channel event that breaks it is visible to
-    ///   the stations the engine kept live, which report `Active` in turn
-    ///   (shared-automaton protocols must therefore answer `Active`
-    ///   whenever the replicated state is outside the regime the promise
-    ///   describes, e.g. mid tree-search or under a burst reservation).
+    ///   the stations the engine kept live, which report `Active` in turn.
     Dormant,
-}
-
-/// One resolved decision slot of a contention fast-forward run, recorded so
-/// quiet stations can be caught up exactly (see [`Station::skip_search`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchSlotRecord {
-    /// When the decision slot started.
-    pub at: Ticks,
-    /// When the channel became free again.
-    pub next_free: Ticks,
-    /// The channel outcome every station would have observed.
-    pub observation: Observation,
 }
 
 /// A station (message source `s_i`) attached to the broadcast medium.
@@ -275,70 +241,16 @@ pub trait Station: Send {
     /// Observability hook: attributes the decision slot about to be
     /// resolved to a protocol phase (see [`PhaseHint`]).
     ///
-    /// Queried by the engine after [`Station::poll`] and before
-    /// [`Station::observe`], only when metrics are enabled. A replicated
-    /// protocol should answer from its shared automaton state while synced
-    /// and `None` otherwise; the default `None` (for stations with no
-    /// phase structure) leaves the slot unattributed.
+    /// Queried by the engine before the slot's [`Station::poll`] and
+    /// [`Station::observe`] calls, only when metrics are enabled, and only
+    /// on live (not parked) stations: the first that answers `Some`
+    /// attributes the slot. A replicated protocol should answer from its
+    /// shared automaton state while synced — every synced replica giving
+    /// the same answer — and `None` otherwise; the answer must not depend
+    /// on `poll`. The default `None` (for stations with no phase
+    /// structure) leaves the slot unattributed.
     fn phase_hint(&self) -> Option<PhaseHint> {
         None
-    }
-
-    /// Contention fast-forward hint: how this station relates to the next
-    /// stretch of contended (tree-search) decision slots.
-    ///
-    /// Queried by the engine after deliveries, before polling, when
-    /// contention fast-forward is enabled. The engine runs a contention
-    /// fast-forward only when at least one live station answers
-    /// [`SearchHint::Engage`] and at least one answers
-    /// [`SearchHint::Quiet`]; engaged (and contending) stations are then
-    /// polled and observed slot by slot exactly as the reference stepper
-    /// would, while the quiet stations are caught up once at the end via
-    /// [`Station::skip_search`]. The run stops before any pending arrival,
-    /// at the next scheduled fault ordinal or restart, at the run limit,
-    /// and as soon as every engaged station's backlog drains. The default
-    /// `Contend` is correct for every implementation.
-    fn search_hint(&self, _now: Ticks) -> SearchHint {
-        SearchHint::Contend
-    }
-
-    /// An opaque protocol-specific synchronization checkpoint published at
-    /// the end of a contention fast-forward run.
-    ///
-    /// The engine asks the engaged stations (in attachment order) for a
-    /// checkpoint and hands the first `Some` to every quiet station's
-    /// [`Station::skip_search`], which may downcast it to resynchronize in
-    /// better than O(run length). A replicated protocol should answer only
-    /// while synced — the checkpoint must describe shared state every
-    /// synced replica agrees on. The default `None` keeps quiet stations on
-    /// the exact replay path.
-    fn search_checkpoint(&self) -> Option<Box<dyn std::any::Any>> {
-        None
-    }
-
-    /// Absorbs a fast-forwarded run of contended decision slots: `records`
-    /// lists each resolved slot in channel order, the first starting at
-    /// `from`; `slot` is the medium's slot width in ticks; `checkpoint` is
-    /// the engaged stations' synchronization checkpoint, if any (see
-    /// [`Station::search_checkpoint`]).
-    ///
-    /// Called by the engine instead of per-slot [`Station::observe`] on
-    /// every quiet station when a contention run is skipped (see
-    /// [`Station::search_hint`]). Must be behaviourally identical to
-    /// observing the recorded outcomes one by one. The default replays
-    /// them — correct for every implementation; checkpoint-based overrides
-    /// are an optimisation.
-    fn skip_search(
-        &mut self,
-        from: Ticks,
-        records: &[SearchSlotRecord],
-        _checkpoint: Option<&dyn std::any::Any>,
-        _slot: Ticks,
-    ) {
-        let _ = from;
-        for record in records {
-            self.observe(record.at, record.next_free, &record.observation);
-        }
     }
 
     /// Analytic contention fast-forward hint: whether the next stretch of

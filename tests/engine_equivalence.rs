@@ -14,7 +14,8 @@ use ddcr_baseline::{CsmaCdStation, DcrStation, NpEdfOracle, QueueDiscipline};
 use ddcr_core::{BurstConfig, DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_sim::{
     ClassId, CollisionMode, Engine, FaultEvent, FaultKind, FaultPlan, FaultRates, MediumConfig,
-    Message, MessageId, SimError, SourceId, Ticks, Trace, TraceEvent,
+    MembershipChange, MembershipEvent, MembershipPlan, Message, MessageId, SimError, SimMetrics,
+    SourceId, Ticks, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -61,14 +62,7 @@ fn build_engine(proto: Proto, z: u32, medium: MediumConfig, steppers: Steppers) 
     engine.set_trace(Trace::enabled());
     match proto {
         Proto::Ddcr { theta, bursting } => {
-            let mut config = DdcrConfig::for_sources(z, Ticks(100_000))
-                .unwrap()
-                .with_compressed_time(theta);
-            if bursting {
-                config = config.with_bursting(BurstConfig {
-                    max_extra_bits: 16_384,
-                });
-            }
+            let config = ddcr_config(z, theta, bursting);
             let allocation =
                 StaticAllocation::one_per_source(config.static_tree, z).unwrap();
             for i in 0..z {
@@ -105,6 +99,72 @@ fn build_engine(proto: Proto, z: u32, medium: MediumConfig, steppers: Steppers) 
         }
     }
     engine
+}
+
+fn ddcr_config(z: u32, theta: u64, bursting: bool) -> DdcrConfig {
+    let config = DdcrConfig::for_sources(z, Ticks(100_000))
+        .unwrap()
+        .with_compressed_time(theta);
+    if bursting {
+        config.with_bursting(BurstConfig {
+            max_extra_bits: 16_384,
+        })
+    } else {
+        config
+    }
+}
+
+/// Turns metrics on — with the analytic ξ allowances for DDCR, so windows
+/// are really checked — the way `ddcr run` does.
+fn enable_metrics(engine: &mut Engine, proto: Proto, z: u32) {
+    match proto {
+        Proto::Ddcr { theta, bursting } => {
+            let (time, static_) =
+                ddcr_core::network::xi_bound_tables(&ddcr_config(z, theta, bursting)).unwrap();
+            engine.set_xi_bounds(time, static_);
+        }
+        _ => {
+            engine.enable_metrics();
+        }
+    }
+}
+
+/// The [`SimMetrics`] fields the end-to-end benchmark's digest folds.
+#[derive(Debug, Clone, PartialEq)]
+struct MetricsDigest {
+    violations_total: u64,
+    sts_checked: u64,
+    max_tts_overhead: u64,
+    max_sts_overhead: u64,
+    joins: u64,
+    leaves: u64,
+    /// Per station: transmitted, collisions seen, garbled, queue high water.
+    stations: Vec<(u64, u64, u64, usize)>,
+}
+
+impl MetricsDigest {
+    fn of(m: &SimMetrics) -> Self {
+        MetricsDigest {
+            violations_total: m.violations_total,
+            sts_checked: m.sts_checked,
+            max_tts_overhead: m.max_tts_overhead,
+            max_sts_overhead: m.max_sts_overhead,
+            joins: m.joins,
+            leaves: m.leaves,
+            stations: m
+                .stations()
+                .iter()
+                .map(|s| {
+                    (
+                        s.transmitted,
+                        s.collisions_seen,
+                        s.garbled,
+                        s.queue_high_water,
+                    )
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Everything observable about one run, for exact comparison.
@@ -363,6 +423,132 @@ proptest! {
     }
 }
 
+/// One run with metrics on under an optional fault and membership plan:
+/// the run digest plus the stepper-invariant metrics.
+fn run_with_metrics(
+    proto: Proto,
+    z: u32,
+    medium: MediumConfig,
+    arrivals: &[Message],
+    steppers: Steppers,
+    faults: &FaultPlan,
+    membership: &MembershipPlan,
+) -> (RunDigest, MetricsDigest) {
+    let mut engine = build_engine(proto, z, medium, steppers);
+    enable_metrics(&mut engine, proto, z);
+    engine.set_fault_plan(faults.clone());
+    engine.set_membership_plan(membership.clone()).unwrap();
+    engine.add_arrivals(arrivals.iter().copied()).unwrap();
+    let outcome = engine.run_to_completion(Ticks(60_000_000));
+    let metrics = MetricsDigest::of(&engine.take_metrics().expect("metrics enabled"));
+    let run = RunDigest {
+        outcome: Some(outcome),
+        now: engine.now(),
+        events: engine.trace().events().to_vec(),
+        stats: engine.into_stats(),
+    };
+    (run, metrics)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Metrics no longer switch the active set off: with metrics on,
+    /// parking (the phase witness attributing slots for the parked
+    /// stations) must leave the run and the metrics digest exactly as the
+    /// same tiers produce them without parking, for all 2³ combinations of
+    /// the other tiers, through crashes, leaves and joins that move the
+    /// witness; and every configuration must match the reference stepper.
+    #[test]
+    fn metrics_match_reference_with_the_active_set_on(
+        z in 2u32..7,
+        raw in prop::collection::vec(
+            (0u32..8, 0u64..200_000, 300_000u64..9_000_000),
+            1..20,
+        ),
+        // (slot ordinal, station pick, down slots)
+        raw_crashes in prop::collection::vec((0u64..400, 0u32..8, 1u64..40), 0..3),
+        // (slot ordinal, station pick, join?)
+        raw_membership in prop::collection::vec((0u64..400, 0u32..8, any::<bool>()), 0..4),
+        absent in prop::collection::vec(0u32..8, 0..2),
+        proto_pick in 0usize..6,
+        arbitrating in any::<bool>(),
+    ) {
+        let proto = pick_proto(proto_pick);
+        let z = if matches!(proto, Proto::NpEdf) { 1 } else { z };
+        let mut medium = MediumConfig::ethernet();
+        medium.collision_mode = if arbitrating {
+            CollisionMode::Arbitrating
+        } else {
+            CollisionMode::Destructive
+        };
+        let arrivals = make_arrivals(&raw, z, 4_000);
+        let faults = FaultPlan::from_events(
+            raw_crashes
+                .iter()
+                .map(|&(slot, station, down_slots)| FaultEvent {
+                    slot,
+                    kind: FaultKind::Crash {
+                        station: station % z,
+                        down_slots,
+                    },
+                })
+                .collect(),
+        );
+        let mut initially_absent: Vec<u32> = absent.iter().map(|s| s % z).collect();
+        initially_absent.sort_unstable();
+        initially_absent.dedup();
+        let membership = MembershipPlan::from_events(
+            initially_absent,
+            raw_membership
+                .iter()
+                .map(|&(slot, station, join)| MembershipEvent {
+                    slot,
+                    change: if join {
+                        MembershipChange::Join { station: station % z }
+                    } else {
+                        MembershipChange::Leave { station: station % z }
+                    },
+                })
+                .collect(),
+        );
+        let reference = run_with_metrics(
+            proto, z, medium, &arrivals, REFERENCE, &faults, &membership,
+        );
+        for (idle, busy, contention) in [
+            (false, false, false),
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+            (true, true, false),
+            (true, false, true),
+            (false, true, true),
+            (true, true, true),
+        ] {
+            let run = |active_set: bool| {
+                let steppers = (idle, busy, contention, active_set);
+                run_with_metrics(proto, z, medium, &arrivals, steppers, &faults, &membership)
+            };
+            let parked = run(true);
+            let tag = format!("idle={idle} busy={busy} contention={contention}");
+            prop_assert_eq!(&parked, &run(false), "{}", tag);
+            prop_assert_eq!(&parked.0, &reference.0, "{}", tag);
+            // The idle tier jumps silent TTs epochs without observing them,
+            // so the worst *observed* TTs overhead may fall short of the
+            // reference stepper's; every other field must match it.
+            let expected = MetricsDigest {
+                max_tts_overhead: if idle {
+                    parked.1.max_tts_overhead
+                } else {
+                    reference.1.max_tts_overhead
+                },
+                ..reference.1.clone()
+            };
+            prop_assert_eq!(&parked.1, &expected, "{}", tag);
+        }
+    }
+}
+
 /// Idle-heavy deterministic spot check at a production-ish scale: 32 DDCR
 /// stations, a handful of widely separated arrivals, a long horizon — the
 /// exact shape the perf gate benchmarks — must agree event for event.
@@ -437,9 +623,11 @@ fn loaded_32_station_burst_network_is_bitwise_equivalent() {
 /// Contention-heavy deterministic spot check: a few sources launch
 /// same-class clusters into a 32-station network, so whole tree searches
 /// (TTs leaf collisions, nested STs) run while 29 stations sit quiet — the
-/// exact shape the contention fast-forward tier exists for. Every stepper
-/// configuration must agree bitwise, and the search-skip telemetry must
-/// show the tier genuinely engaged.
+/// shape the contention tiers exist for. Every stepper configuration must
+/// agree bitwise. With metrics on, the active set must keep the contended
+/// slots O(contenders) — 29 stations stay parked while the phase witness
+/// attributes every slot — and on the destructive medium the analytic
+/// attempt-cycle tier must fire.
 #[test]
 fn contention_heavy_32_station_network_is_bitwise_equivalent() {
     let medium = MediumConfig::ethernet();
@@ -473,16 +661,25 @@ fn contention_heavy_32_station_network_is_bitwise_equivalent() {
             assert_eq!(fast, reference, "arbitrating={arbitrating} steppers={steppers:?}");
         }
 
-        // The contention tier really fired, and it did the bulk of the
-        // contended slots: rerun the default configuration with metrics on.
+        // The fast paths really fired: rerun the default configuration with
+        // metrics on.
         let mut engine = build_engine(proto, 32, medium, (true, true, true, true));
         engine.enable_metrics();
         engine.add_arrivals(arrivals.iter().copied()).unwrap();
         engine.run_to_completion(Ticks(60_000_000)).unwrap();
-        let metrics = engine.metrics().expect("metrics enabled");
+        let station_slots = engine.slot_ordinal() * 32;
+        let polls = engine.poll_count();
         assert!(
+            polls < station_slots / 10,
+            "polled {polls} of {station_slots} station-slots (arbitrating={arbitrating})"
+        );
+        let metrics = engine.metrics().expect("metrics enabled");
+        // The analytic tier only resolves destructive attempt collisions (an
+        // arbitrating medium delivers a survivor, which changes the cycle).
+        assert_eq!(
             metrics.search_skip_runs > 0,
-            "contention fast-forward never engaged (arbitrating={arbitrating})"
+            !arbitrating,
+            "attempt-cycle tier engagement (arbitrating={arbitrating})"
         );
         assert!(metrics.search_skipped_slots >= metrics.search_skip_runs);
     }
@@ -613,4 +810,65 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
     );
     // The comparison is meaningful: the reference really pays O(n) per slot.
     assert!(reference_polls >= station_slots);
+}
+
+/// The sparse-1024 shape with metrics on, as `ddcr run` always runs: the
+/// active set must still engage — polls under 10% of station-slots, parked
+/// stations caught up from the log — while the phase witness keeps every
+/// stepper-invariant metric equal to the reference stepper's.
+#[test]
+fn sparse_1024_station_network_with_metrics_keeps_the_active_set() {
+    const Z: u32 = 1024;
+    let medium = MediumConfig::ethernet();
+    let proto = Proto::Ddcr {
+        theta: 0,
+        bursting: false,
+    };
+    let arrivals: Vec<Message> = (0..16u64)
+        .map(|i| Message {
+            id: MessageId(i),
+            source: SourceId((i * 61 % u64::from(Z)) as u32),
+            class: ClassId(0),
+            bits: 4_000,
+            arrival: Ticks(i * 120_000),
+            deadline: Ticks(30_000_000),
+        })
+        .collect();
+
+    let run = |steppers: Steppers| {
+        let mut engine = build_engine(proto, Z, medium, steppers);
+        enable_metrics(&mut engine, proto, Z);
+        engine.add_arrivals(arrivals.iter().copied()).unwrap();
+        let outcome = engine.run_to_completion(Ticks(60_000_000));
+        let (polls, replays, slots) = (
+            engine.poll_count(),
+            engine.replay_count(),
+            engine.slot_ordinal(),
+        );
+        let metrics = engine.take_metrics().expect("metrics enabled");
+        let run = RunDigest {
+            outcome: Some(outcome),
+            now: engine.now(),
+            events: engine.trace().events().to_vec(),
+            stats: engine.into_stats(),
+        };
+        (run, metrics, polls, replays, slots)
+    };
+    let (active, active_metrics, polls, replays, slots) = run((true, true, true, true));
+    let (reference, reference_metrics, _, _, _) = run(REFERENCE);
+
+    assert_eq!(active, reference);
+    assert_eq!(
+        MetricsDigest::of(&active_metrics),
+        MetricsDigest::of(&reference_metrics)
+    );
+    assert_eq!(active.stats.deliveries.len(), 16);
+    // The witness attributed slots: TTs epochs were closed and checked.
+    assert!(active_metrics.epochs_checked > 0);
+    let station_slots = slots * u64::from(Z);
+    assert!(
+        polls < station_slots / 10,
+        "active tier polled {polls} of {station_slots} station-slots with metrics on"
+    );
+    assert!(replays > 0, "no parked station was ever caught up");
 }
